@@ -131,6 +131,25 @@ def test_csma_slot_rate(benchmark):
     assert result.total_delivered > 0
 
 
+def test_csma_slot_rate_hidden_terminals(benchmark):
+    """50k CSMA slots over a sparse 12-node ring: each node hears only
+    its two neighbours and sends to the next one, so most pairs are
+    hidden and the medium is idle for some nodes while busy for others."""
+    n = 12
+    ids = [f"s{i}" for i in range(n)]
+
+    def run():
+        nodes = [CsmaNode(ids[i], hears=frozenset({ids[i - 1],
+                                                   ids[(i + 1) % n]}),
+                          destination=ids[(i + 1) % n])
+                 for i in range(n)]
+        sim = CsmaSimulation(nodes, np.random.default_rng(1), frame_slots=50)
+        return sim.run(50_000)
+
+    result = benchmark(run)
+    assert result.total_delivered > 0 and result.total_collided > 0
+
+
 def test_summarize_ndarray_fast_path(benchmark):
     """summarize() on a 100k-sample ndarray: no copies, one sort."""
     samples = np.random.default_rng(7).exponential(2.0, size=100_000)

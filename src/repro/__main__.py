@@ -238,10 +238,10 @@ def run_experiment(exp_id: str, metrics_out: Optional[str] = None,
 #: pool; they run in the parent so the whole pool serves their cells.
 CELL_PARALLEL_IDS = ("E6", "E7", "E17", "E18", "E19")
 
-#: Rough serial seconds per experiment (measured on the reference box);
-#: only the ordering matters — longest-first submission of the fan-out.
-_COST_HINTS = {"E8": 7.0, "E9": 2.5, "E5": 2.0, "E18": 2.0, "F1": 0.6,
-               "E16": 0.1}
+#: Rough serial seconds per fanned-out experiment (medians of three
+#: serial runs on a 2-core x86-64 box); only the ordering matters —
+#: longest-first submission. Unlisted ones take under 0.1 s.
+_COST_HINTS = {"E9": 1.4, "E5": 0.4, "E8": 0.3, "F1": 0.1, "E16": 0.1}
 
 
 def _run_captured(task) -> str:
@@ -296,7 +296,7 @@ def _run_all_parallel(ids: List[str], jobs: int,
     tasks = [(i, metrics_out, trace_out, profile, multi, profile_out,
               exp_args) for i in rest]
     texts = supervised_map(_run_captured, tasks, jobs=jobs,
-                           costs=[_COST_HINTS.get(i, 1.0) for i in rest],
+                           costs=[_COST_HINTS.get(i, 0.0) for i in rest],
                            labels=[f"exp:{i}" for i in rest],
                            task_timeout_s=task_timeout_s, retries=retries,
                            checkpoint=checkpoint, report=report)

@@ -114,9 +114,10 @@ class InvariantChecker:
                     f"+ in_flight={link.in_flight}")
             if link.in_flight < 0:
                 problems.append(f"negative in_flight: {link.in_flight}")
-            if link.queue_depth > link.queue_packets:
+            # a passive read: queue_depth would run the AQM early
+            if link.queued > link.queue_packets:
                 problems.append(
-                    f"queue over capacity: {link.queue_depth} > "
+                    f"queue over capacity: {link.queued} > "
                     f"{link.queue_packets}")
             if link._managed:
                 # managed links (AQM / queue_bytes) carry the same

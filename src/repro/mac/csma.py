@@ -2,11 +2,13 @@
 
 Two implementations of the same MAC, used to cross-validate each other:
 
-* :class:`CsmaSimulation` — an event-level slotted simulation over an
-  explicit *hearing graph*, so hidden terminals (nodes that contend for
-  the same receiver but cannot sense each other) are modelled exactly.
-  This is the engine behind E5 (legacy-WiFi baseline) and E8 (hidden
-  terminal losses vs registry coordination).
+* :class:`CsmaSimulation` — a slotted simulation over an explicit
+  *hearing graph*, so hidden terminals (nodes that contend for the same
+  receiver but cannot sense each other) are modelled exactly. It is
+  specified slot by slot and evaluated event by event, jumping over the
+  quiet slots between frame ends and backoff expiries. This is the
+  engine behind E5 (legacy-WiFi baseline) and E8 (hidden terminal
+  losses vs registry coordination).
 * :func:`bianchi_throughput` — Bianchi's analytic saturation-throughput
   model (all-hear-all, no hiddens), the standard closed form the
   simulation must agree with in the fully-connected case.
@@ -44,7 +46,8 @@ class CsmaNode:
     destination: Optional[str] = None
     saturated: bool = True
 
-    # runtime state (managed by the simulation)
+    # runtime state, managed by the simulation: each run() reads it and
+    # writes it back (the hearing graph is read once, at construction)
     backoff: int = field(default=0, repr=False)
     cw: int = field(default=CW_MIN, repr=False)
     tx_remaining: int = field(default=0, repr=False)
@@ -55,7 +58,11 @@ class CsmaNode:
 
 @dataclass
 class CsmaResult:
-    """Aggregate outcome of a CSMA run."""
+    """Aggregate outcome of a CSMA simulation since its construction.
+
+    Every field counts from construction, so ``run(a)`` then ``run(b)``
+    returns the same result as one ``run(a + b)``.
+    """
 
     slots: int
     frame_slots: int
@@ -88,12 +95,29 @@ class CsmaResult:
 class CsmaSimulation:
     """Slotted DCF over a hearing graph.
 
-    Each slot: every idle node with a pending frame decrements its backoff
-    if it senses the medium idle (no currently-transmitting node in its
-    ``hears`` set); at backoff zero it transmits for ``frame_slots`` slots.
-    A frame is delivered iff no other transmission overlapped in time at
-    the *receiver's* hearing set; otherwise every overlapped transmitter
-    collides, doubles its CW (to CW_MAX) and redraws backoff.
+    The model is specified slot by slot. In each slot, in order:
+
+    1. the medium is busy if any node is transmitting; every transmitter
+       records the others as overlapping its frame;
+    2. every transmission loses one slot; those that reach zero complete,
+       in node insertion order. A frame is delivered iff none of its
+       overlaps was audible at the *receiver* (in the receiver's
+       ``hears`` set, or the receiver itself; any overlap counts when the
+       destination is not a node of the simulation). A delivery resets
+       CW to CW_MIN, a collision doubles it (to CW_MAX); either way the
+       node draws a fresh backoff from ``[0, cw)``, raised to 1 (DIFS);
+    3. carrier sense: every saturated node not transmitting that senses
+       the medium idle (no node still transmitting is in its ``hears``
+       set) decrements a positive backoff, and at backoff zero starts a
+       ``frame_slots``-slot frame. A node that completed in step 2 takes
+       part, so it can count down, and even start, in the same slot.
+
+    :meth:`run` evaluates this rule exactly without visiting every slot.
+    Between two *events* — a frame ending or a backoff reaching zero —
+    nothing but the counters changes, so the engine computes the number
+    of quiet slots directly, advances every counter by it at once, and
+    applies the per-slot rule only to the event slot. RNG draws, their
+    order, and every counter match the slot-by-slot evaluation.
 
     The slot clock abstracts SIFS/DIFS/ACK detail into the frame length;
     Bianchi's model makes the same abstraction, so they are comparable.
@@ -110,6 +134,7 @@ class CsmaSimulation:
         self.nodes = {n.node_id: n for n in nodes}
         self.rng = rng
         self.frame_slots = frame_slots
+        self.slots = 0
         self.busy_slots = 0
         # slot-loop MAC has no simulator; record into the ambient registry
         if metrics is None:
@@ -122,71 +147,101 @@ class CsmaSimulation:
             node.cw = CW_MIN
             node.backoff = int(self.rng.integers(0, node.cw))
             node.tx_remaining = 0
-        # transmissions in flight: node_id -> set of node_ids that
-        # transmitted concurrently at any point (for collision detection)
-        self._overlaps: Dict[str, set] = {}
-
-    def _senses_busy(self, node: CsmaNode, transmitting: List[str]) -> bool:
-        return any(t in node.hears for t in transmitting)
+        # nodes are indexed by insertion order and node sets are int
+        # bitmasks (bit i = i-th node); ids outside the simulation drop out
+        index = {nid: i for i, nid in enumerate(ids)}
+        self._hears = [sum(1 << index[h] for h in set(n.hears) if h in index)
+                       for n in nodes]
+        # overlaps audible at each node's receiver: its hearing set plus
+        # itself, or every node when the destination is not simulated
+        self._harmful: List[int] = []
+        for node in nodes:
+            rx = index.get(node.destination) if node.destination else None
+            self._harmful.append(-1 if rx is None
+                                 else self._hears[rx] | 1 << rx)
+        # per in-flight frame: mask of the nodes that transmitted
+        # concurrently with it at any point (for collision detection)
+        self._overlaps = [0] * len(nodes)
 
     def run(self, slots: int) -> CsmaResult:
-        """Advance the simulation ``slots`` slots and return aggregates."""
-        for _ in range(slots):
-            self._step()
+        """Advance the simulation ``slots`` slots and return the
+        aggregates since construction."""
+        nodes = list(self.nodes.values())
+        order = range(len(nodes))
+        hears = self._hears
+        overlaps = self._overlaps
+        contends = [n.saturated for n in nodes]
+        tx = [n.tx_remaining for n in nodes]
+        backoff = [n.backoff for n in nodes]
+        transmitting = sum(1 << i for i in order if tx[i] > 0)
+        frame = self.frame_slots
+        busy = self.busy_slots
+        left = slots
+        while left > 0:
+            # quiet slots before the next event, capped by the slots left
+            quiet = left
+            for i in order:
+                if tx[i]:
+                    if tx[i] <= quiet:
+                        quiet = tx[i] - 1
+                elif contends[i] and not hears[i] & transmitting:
+                    if backoff[i] <= quiet:
+                        quiet = max(backoff[i] - 1, 0)
+            if quiet:
+                for i in order:
+                    if tx[i]:
+                        tx[i] -= quiet
+                    elif contends[i] and not hears[i] & transmitting:
+                        backoff[i] -= quiet
+                if transmitting:
+                    busy += quiet
+                left -= quiet
+                if not left:
+                    break
+            # the event slot, by the per-slot rule
+            if transmitting:
+                busy += 1
+                for i in order:
+                    if tx[i]:
+                        tx[i] -= 1
+                        if not tx[i]:
+                            transmitting ^= 1 << i
+                            backoff[i] = self._complete(nodes[i], i)
+            starters = 0
+            for i in order:
+                if tx[i] or not contends[i] or hears[i] & transmitting:
+                    continue
+                if backoff[i] > 0:
+                    backoff[i] -= 1
+                if backoff[i] == 0:
+                    # carrier sense above reads ``transmitting``, which
+                    # gains this slot's starters only after the loop
+                    starters |= 1 << i
+                    tx[i] = frame
+                    nodes[i].sent += 1
+                    self._m_sent.inc()
+            if starters:
+                transmitting |= starters
+                # the transmitting set is fixed until the next event
+                for i in order:
+                    if transmitting >> i & 1:
+                        overlaps[i] |= transmitting ^ 1 << i
+            left -= 1
+        for i, node in enumerate(nodes):
+            node.tx_remaining = tx[i]
+            node.backoff = backoff[i]
+        self.busy_slots = busy
+        self.slots += slots
         delivered = {nid: n.delivered for nid, n in self.nodes.items()}
         collided = {nid: n.collided for nid, n in self.nodes.items()}
-        return CsmaResult(slots=slots, frame_slots=self.frame_slots,
+        return CsmaResult(slots=self.slots, frame_slots=self.frame_slots,
                           delivered=delivered, collided=collided,
                           busy_slots=self.busy_slots)
 
-    def _step(self) -> None:
-        transmitting = [nid for nid, n in self.nodes.items() if n.tx_remaining > 0]
-        if transmitting:
-            self.busy_slots += 1
-        # record overlaps for in-flight frames
-        for nid in transmitting:
-            others = [o for o in transmitting if o != nid]
-            self._overlaps.setdefault(nid, set()).update(others)
-
-        # progress transmissions; finish ones that end this slot
-        finished: List[str] = []
-        for nid in transmitting:
-            node = self.nodes[nid]
-            node.tx_remaining -= 1
-            if node.tx_remaining == 0:
-                finished.append(nid)
-        for nid in finished:
-            self._complete(nid)
-
-        # backoff countdown for idle contenders
-        still_transmitting = [nid for nid, n in self.nodes.items()
-                              if n.tx_remaining > 0]
-        starters: List[CsmaNode] = []
-        for node in self.nodes.values():
-            if node.tx_remaining > 0 or not node.saturated:
-                continue
-            if self._senses_busy(node, still_transmitting):
-                continue
-            if node.backoff > 0:
-                node.backoff -= 1
-            if node.backoff == 0:
-                starters.append(node)
-        for node in starters:
-            node.tx_remaining = self.frame_slots
-            node.sent += 1
-            self._m_sent.inc()
-            self._overlaps[node.node_id] = set()
-
-    def _complete(self, nid: str) -> None:
-        node = self.nodes[nid]
-        overlapped = self._overlaps.pop(nid, set())
-        receiver = self.nodes.get(node.destination) if node.destination else None
-        if receiver is not None:
-            # only overlaps audible at the receiver corrupt the frame
-            harmful = {o for o in overlapped
-                       if o in receiver.hears or o == receiver.node_id}
-        else:
-            harmful = overlapped
+    def _complete(self, node: CsmaNode, i: int) -> int:
+        """Settle node ``i``'s finished frame; return its new backoff."""
+        harmful = self._overlaps[i] & self._harmful[i]
+        self._overlaps[i] = 0
         if harmful:
             node.collided += 1
             self._m_collisions.inc()
@@ -195,10 +250,11 @@ class CsmaSimulation:
             node.delivered += 1
             self._m_delivered.inc()
             node.cw = CW_MIN
-        node.backoff = int(self.rng.integers(0, node.cw))
-        if node.backoff == 0:
-            node.backoff = 1  # DIFS gap: never back-to-back zero-slot grab
-        self._m_backoff.observe(node.backoff)
+        backoff = int(self.rng.integers(0, node.cw))
+        if backoff == 0:
+            backoff = 1  # DIFS gap: never back-to-back zero-slot grab
+        self._m_backoff.observe(backoff)
+        return backoff
 
 
 def bianchi_throughput(n_nodes: int, frame_slots: int = 50,

@@ -182,6 +182,18 @@ class Link:
             self._advance(self.sim.now)
         return len(self._egress)
 
+    @property
+    def queued(self) -> int:
+        """Packets in the egress queue, read with no side effects.
+
+        Unlike :attr:`queue_depth` it promotes nothing, so no AQM verdict
+        runs (CoDel state, ECN marks) and an observer cannot perturb the
+        run. Packets whose service is already due are still counted, so
+        it bounds :attr:`queue_depth` from above; ``send`` keeps it
+        within ``queue_packets``.
+        """
+        return len(self._egress)
+
     # -- fault state -------------------------------------------------------
 
     def set_up(self, up: bool) -> None:

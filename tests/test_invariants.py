@@ -166,6 +166,30 @@ def test_armed_checker_changes_no_tables():
     checker.verify()
 
 
+def test_armed_checker_leaves_aqm_links_alone():
+    # on managed links the capacity check must not promote due packets:
+    # promotion runs CoDel, whose marks would then land at sweep times
+    # (this case once showed 284 ECN marks armed vs 283 unarmed)
+    from repro.experiments import e18_sustained_overload as e18
+
+    kwargs = dict(loads=(0.5, 4.0), n_aps=1, ue_per_ap=3, settle_s=4,
+                  warmup_s=1, measure_s=6, seed=7)
+    armed = e18.run(invariants=True, **kwargs).render()
+    assert armed == e18.run(**kwargs).render()
+
+
+def test_link_queued_reads_without_promoting():
+    sim = Simulator(0)
+    link = Link(sim, rate_bps=8000.0, delay_s=10.0, queue_packets=4)
+    link.connect(lambda p: None)
+    for _ in range(4):
+        link.send(_pkt())  # 0.1 s of service each; three wait
+    sim.run(until=0.25)
+    assert link.queued == 3  # two services are due but not yet promoted
+    assert link.queue_depth == 1  # this read promotes them
+    assert link.queued == 1
+
+
 def test_federation_flags_overlapping_slices():
     net = DLTENetwork.build(TOWN, seed=3)
     net.run(duration_s=3.0)

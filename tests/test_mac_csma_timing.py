@@ -1,7 +1,11 @@
 """Unit tests for the CSMA/DCF simulation, Bianchi model, and timing limits."""
 
+from typing import Dict, List
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mac import (
     CsmaNode,
@@ -13,6 +17,8 @@ from repro.mac import (
     max_range_supported_m,
     propagation_delay_s,
 )
+from repro.mac.csma import CW_MAX, CW_MIN, CsmaResult
+from repro.telemetry.registry import MetricsRegistry
 
 
 def _fully_connected(n, frame_slots=50, seed=0):
@@ -100,6 +106,176 @@ def test_deliveries_conserved():
     res = sim.run(100_000)
     for node in sim.nodes.values():
         assert node.sent >= node.delivered + node.collided - 1  # one in flight
+
+
+def test_repeated_runs_count_from_construction():
+    """run(a) then run(b) reports what one run(a + b) does."""
+    split = _fully_connected(2, seed=0)
+    split.run(50_000)
+    second = split.run(50_000)
+    whole = _fully_connected(2, seed=0)
+    once = whole.run(100_000)
+    assert second == once
+    assert second.slots == 100_000
+    assert second.channel_utilization < 1.0
+    assert split.rng.bit_generator.state == whole.rng.bit_generator.state
+
+
+# -- oracle: the slot-by-slot evaluation of the DCF rule ------------------------
+
+class SlotBySlot(CsmaSimulation):
+    """Evaluates the per-slot DCF rule one slot at a time.
+
+    This is the loop :class:`CsmaSimulation` ran before it jumped over
+    quiet slots; it needs no reasoning about which slots are quiet, so
+    it is the oracle the event-jump engine must match exactly.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._overlaps: Dict[str, set] = {}
+
+    def _senses_busy(self, node: CsmaNode, transmitting: List[str]) -> bool:
+        return any(t in node.hears for t in transmitting)
+
+    def run(self, slots: int) -> CsmaResult:
+        for _ in range(slots):
+            self._step()
+        self.slots += slots
+        delivered = {nid: n.delivered for nid, n in self.nodes.items()}
+        collided = {nid: n.collided for nid, n in self.nodes.items()}
+        return CsmaResult(slots=self.slots, frame_slots=self.frame_slots,
+                          delivered=delivered, collided=collided,
+                          busy_slots=self.busy_slots)
+
+    def _step(self) -> None:
+        transmitting = [nid for nid, n in self.nodes.items() if n.tx_remaining > 0]
+        if transmitting:
+            self.busy_slots += 1
+        # record overlaps for in-flight frames
+        for nid in transmitting:
+            others = [o for o in transmitting if o != nid]
+            self._overlaps.setdefault(nid, set()).update(others)
+
+        # progress transmissions; finish ones that end this slot
+        finished: List[str] = []
+        for nid in transmitting:
+            node = self.nodes[nid]
+            node.tx_remaining -= 1
+            if node.tx_remaining == 0:
+                finished.append(nid)
+        for nid in finished:
+            self._complete(nid)
+
+        # backoff countdown for idle contenders
+        still_transmitting = [nid for nid, n in self.nodes.items()
+                              if n.tx_remaining > 0]
+        starters: List[CsmaNode] = []
+        for node in self.nodes.values():
+            if node.tx_remaining > 0 or not node.saturated:
+                continue
+            if self._senses_busy(node, still_transmitting):
+                continue
+            if node.backoff > 0:
+                node.backoff -= 1
+            if node.backoff == 0:
+                starters.append(node)
+        for node in starters:
+            node.tx_remaining = self.frame_slots
+            node.sent += 1
+            self._m_sent.inc()
+            self._overlaps[node.node_id] = set()
+
+    def _complete(self, nid: str) -> None:
+        node = self.nodes[nid]
+        overlapped = self._overlaps.pop(nid, set())
+        receiver = self.nodes.get(node.destination) if node.destination else None
+        if receiver is not None:
+            # only overlaps audible at the receiver corrupt the frame
+            harmful = {o for o in overlapped
+                       if o in receiver.hears or o == receiver.node_id}
+        else:
+            harmful = overlapped
+        if harmful:
+            node.collided += 1
+            self._m_collisions.inc()
+            node.cw = min(node.cw * 2, CW_MAX)
+        else:
+            node.delivered += 1
+            self._m_delivered.inc()
+            node.cw = CW_MIN
+        node.backoff = int(self.rng.integers(0, node.cw))
+        if node.backoff == 0:
+            node.backoff = 1  # DIFS gap: never back-to-back zero-slot grab
+        self._m_backoff.observe(node.backoff)
+
+
+_NODE_FIELDS = ("sent", "delivered", "collided", "cw", "backoff",
+                "tx_remaining")
+
+
+def _state(sim: CsmaSimulation, registry: MetricsRegistry):
+    backoffs = registry.histogram("mac.csma.backoff_slots")
+    return {
+        "nodes": {nid: tuple(getattr(n, f) for f in _NODE_FIELDS)
+                  for nid, n in sim.nodes.items()},
+        "busy_slots": sim.busy_slots,
+        "metrics": {name: registry.value(f"mac.csma.{name}")
+                    for name in ("frames_sent", "frames_delivered",
+                                 "collisions")},
+        "backoff_hist": (backoffs.count, backoffs.sum),
+        "rng": sim.rng.bit_generator.state,
+    }
+
+
+@st.composite
+def _csma_setups(draw):
+    n = draw(st.integers(1, 6))
+    ids = [f"n{i}" for i in range(n)]
+    # "ghost" is named in hearing sets and as a destination but is not a
+    # node of the simulation; hearing is drawn per node, so asymmetric
+    names = ids + ["ghost"]
+    spec = [(nid,
+             draw(st.frozensets(st.sampled_from(names))),
+             draw(st.sampled_from(names + [None])),
+             draw(st.booleans()))
+            for nid in ids]
+    return {
+        "spec": spec,
+        "frame_slots": draw(st.sampled_from([1, 2, 50])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        # start these nodes at backoff 0, which a construction-time draw
+        # can give (after a frame the DIFS rule raises 0 to 1)
+        "zeroed": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        "runs": draw(st.lists(st.integers(0, 700), min_size=1, max_size=3)),
+    }
+
+
+def _build(cls, setup):
+    registry = MetricsRegistry()
+    nodes = [CsmaNode(nid, hears=hears, destination=dest, saturated=sat)
+             for nid, hears, dest, sat in setup["spec"]]
+    sim = cls(nodes, np.random.default_rng(setup["seed"]),
+              setup["frame_slots"], metrics=registry)
+    for node, zero in zip(nodes, setup["zeroed"]):
+        if zero:
+            node.backoff = 0
+    return sim, registry
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csma_setups())
+def test_event_jump_matches_slot_by_slot(setup):
+    jump, jump_metrics = _build(CsmaSimulation, setup)
+    oracle, oracle_metrics = _build(SlotBySlot, setup)
+    for slots in setup["runs"]:
+        result = jump.run(slots)
+        assert result == oracle.run(slots)
+        assert _state(jump, jump_metrics) == _state(oracle, oracle_metrics)
+    # where the runs were split is invisible: one run of the total agrees
+    whole, whole_metrics = _build(CsmaSimulation, setup)
+    assert whole.run(sum(setup["runs"])) == result
+    assert _state(whole, whole_metrics) == _state(jump, jump_metrics)
 
 
 def test_bianchi_monotone_decreasing_in_n():
