@@ -267,3 +267,18 @@ def test_metrics_hot_path_rate(benchmark):
         return counter.value
 
     assert benchmark(hot_loop) > 0
+
+
+def test_metrics_observe_many_rate(benchmark):
+    """The batch-TTI telemetry cost: one per-cell SINR vector per TTI
+    into one histogram, past the exact-sample cap so the sketch folds
+    run inside the measurement."""
+    hist = MetricsRegistry().histogram("mac.cell.sinr_db", cell="bench")
+    sinr = np.random.default_rng(3).normal(12.0, 8.0, size=256)
+
+    def hot_loop():
+        for _ in range(100):
+            hist.observe_many(sinr)
+        return hist.count
+
+    assert benchmark(hot_loop) > 0

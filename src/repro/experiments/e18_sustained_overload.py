@@ -32,11 +32,12 @@ AQM keeping the queue short, which is the architectural contrast.
 
 Reported per (arch x mode x load): offered and delivered (goodput)
 Mbps over the measurement window, web flow-completion P50/P99.9 and
-video/VoIP chunk-delivery P99.9 (streaming P² quantiles, demand-to-
-service), web flow completion rate, ECN marks, AQM vs tail drops,
-policer sheds and the deepest access queue. The claim is the *shape*:
-with AQM+ECN, goodput is monotone non-decreasing in load; with
-drop-tail it declines past saturation.
+video/VoIP chunk-delivery P99.9 (exact quantiles, demand-to-service,
+each with its sample count; a note below the table names every one
+read from fewer than 1/(1-q) samples), web flow completion rate, ECN
+marks, AQM vs tail drops, policer sheds and the deepest access queue.
+The claim is the *shape*: with AQM+ECN, goodput is monotone
+non-decreasing in load; with drop-tail it declines past saturation.
 
 Chaos scenarios and the invariant layer compose exactly as in E17
 (``scenario=``/``invariants=``) — the managed links carry a byte-exact
@@ -62,8 +63,11 @@ from repro.transport.tcp import TcpConnection, TcpListener
 from repro.workloads.topology import RuralTown
 from repro.workloads.traffic import DiurnalCurve, make_app_source
 
-#: SLA quantiles per app class (P50/P99/P99.9 via streaming P²)
-QUANTILES = (0.5, 0.99, 0.999)
+#: the SLA quantile columns: (column, q, sample-count column)
+SLA_READS = (("web_fct_p50_s", 0.5, "web_n"),
+             ("web_fct_p999_s", 0.999, "web_n"),
+             ("video_p999_s", 0.999, "video_n"),
+             ("voip_p999_ms", 0.999, "voip_n"))
 
 #: mean web fetch (heavy-tailed around this; see ParetoFlowSource)
 WEB_MEAN_BYTES = 120_000
@@ -180,8 +184,7 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
     # -- transport + workload wiring -----------------------------------------
     t1 = sim.now
     server_demux = TransportDemux(net.server)   # replaces the echo responder
-    hists = {app: sim.metrics.histogram(f"e18.sla.{app}_s",
-                                        quantiles=QUANTILES)
+    hists = {app: sim.metrics.histogram(f"e18.sla.{app}_s")
              for app in ("web", "video", "voip")}
     flows: Dict[str, dict] = {}
     totals = {"sent": 0, "delivered": 0, "web_started": 0, "web_done": 0}
@@ -349,8 +352,11 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
         "web_done": totals["web_done"] / max(1, totals["web_started"]),
         "web_fct_p50_s": q("web", 0.5),
         "web_fct_p999_s": q("web", 0.999),
+        "web_n": hists["web"].count,
         "video_p999_s": q("video", 0.999),
+        "video_n": hists["video"].count,
         "voip_p999_ms": q("voip", 0.999) * 1e3,
+        "voip_n": hists["voip"].count,
         "ecn_marks": sim.ecn_marks,
         "aqm_drops": sum(link.dropped_aqm for link in bottlenecks),
         "tail_drops": sum(link.dropped_overflow for link in bottlenecks),
@@ -397,12 +403,14 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
         f"E18: sustained overload{suffix} — goodput vs offered load, "
         f"{aqm}+ECN vs drop-tail",
         ["arch", "mode", "load_x", "offered_mbps", "goodput_mbps",
-         "web_done", "web_fct_p50_s", "web_fct_p999_s", "video_p999_s",
-         "voip_p999_ms", "ecn_marks", "aqm_drops", "tail_drops",
+         "web_done", "web_fct_p50_s", "web_fct_p999_s", "web_n",
+         "video_p999_s", "video_n", "voip_p999_ms", "voip_n",
+         "ecn_marks", "aqm_drops", "tail_drops",
          "shed_gbr", "shed_web", "shed_bulk", "peak_queue"])
     labels = [(label, mode) for _load in loads
               for label, _key in _ARCHITECTURES
               for mode, _aqm_on in _MODES]
     for (label, mode), row in zip(labels, results):
         table.add_row(arch=label, mode=mode, **row)
+    table.note_undersampled(("arch", "mode", "load_x"), SLA_READS)
     return table

@@ -7,7 +7,7 @@ a fixed-width text rendering that the bench harness prints.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 class ResultTable:
@@ -21,6 +21,8 @@ class ResultTable:
         self.title = title
         self.columns = list(columns)
         self.rows: List[Dict[str, Any]] = []
+        #: free-text lines rendered below the rows
+        self.notes: List[str] = []
 
     def add_row(self, **values: Any) -> None:
         """Append a row; keys must exactly match the columns."""
@@ -58,7 +60,28 @@ class ResultTable:
         out = [self.title, "=" * len(self.title), line(self.columns),
                line(["-" * w for w in widths])]
         out.extend(line(r) for r in cells)
+        out.extend(self.notes)
         return "\n".join(out)
+
+    def note_undersampled(self, key: Sequence[str],
+                          reads: Sequence[Tuple[str, float, str]]) -> None:
+        """Add a note naming every quantile cell read from too few samples.
+
+        ``reads`` lists ``(quantile column, q, sample-count column)``; a
+        cell is under-sampled when its n < 1/(1-q), i.e. the q-quantile
+        is an interpolation past the largest sample's rank. ``key``
+        names the columns that identify a row in the note.
+        """
+        flagged = []
+        for row in self.rows:
+            cells = [f"{col} (n={row[n_col]})" for col, q, n_col in reads
+                     if row[n_col] * (1.0 - q) < 1.0]
+            if cells:
+                ident = ", ".join(self._fmt(row[k]) for k in key)
+                flagged.append(f"  {ident}: {', '.join(cells)}")
+        if flagged:
+            self.notes.append("under-sampled quantiles (n < 1/(1-q)):")
+            self.notes.extend(flagged)
 
     def __len__(self) -> int:
         return len(self.rows)

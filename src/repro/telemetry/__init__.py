@@ -23,7 +23,6 @@ from repro.telemetry.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
 )
 from repro.telemetry.spans import Span, SpanTracker
 from repro.telemetry.profiler import RunProfiler
@@ -34,7 +33,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "P2Quantile",
     "Span",
     "SpanTracker",
     "RunProfiler",

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DLTENetwork
 from repro.simcore import Simulator
@@ -19,7 +21,6 @@ from repro.telemetry import (
     Counter,
     Histogram,
     MetricsRegistry,
-    P2Quantile,
     RunProfiler,
     SpanTracker,
 )
@@ -30,6 +31,7 @@ from repro.telemetry.exporters import (
     write_metrics_csv,
     write_metrics_text,
 )
+from repro.telemetry.registry import SAMPLE_CAP, SKETCH_ALPHA
 from repro.workloads import RuralTown
 
 
@@ -116,48 +118,101 @@ class TestRegistry:
         assert {r["kind"] for r in rows} == {"histogram", "gauge", "counter"}
 
 
-class TestP2Quantile:
-    def test_exact_for_small_samples(self):
-        q = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            q.observe(v)
-        assert q.estimate == 3.0
+_FINITE = st.one_of(st.floats(-1e9, 1e9, allow_nan=False),
+                    st.sampled_from([0.0, -0.0, 1.0, -2.5]))
 
-    def test_median_converges_on_uniform(self):
-        rng = np.random.default_rng(7)
-        q = P2Quantile(0.5)
-        for v in rng.uniform(0.0, 100.0, size=5000):
-            q.observe(float(v))
-        assert abs(q.estimate - 50.0) < 3.0
 
-    def test_p99_converges_on_exponential(self):
-        rng = np.random.default_rng(11)
-        samples = rng.exponential(1.0, size=20_000)
-        q = P2Quantile(0.99)
-        for v in samples:
-            q.observe(float(v))
-        exact = float(np.percentile(samples, 99))
-        assert abs(q.estimate - exact) / exact < 0.15
+def _tail_samples(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    if kind == "pareto":
+        return rng.pareto(1.2, size=n) + 1e-3
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 2.0, size=n)
+    return -rng.lognormal(-3.0, 1.5, size=n)
 
-    def test_deterministic_in_observation_order(self):
-        values = [float(v) for v in np.random.default_rng(3).normal(size=500)]
-        a, b = P2Quantile(0.95), P2Quantile(0.95)
+
+class TestHistogramQuantiles:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(_FINITE, min_size=1, max_size=SAMPLE_CAP),
+           q=st.floats(0.0, 1.0), split=st.integers(0, SAMPLE_CAP))
+    def test_exact_matches_numpy(self, values, q, split):
+        hist = Histogram("h", {})
+        hist.observe_many(values[:split])
+        for v in values[split:]:
+            hist.observe(v)
+        assert hist.quantile(q) == np.quantile(values, q)
+
+    def test_exact_up_to_the_cap(self):
+        values = np.random.default_rng(2).normal(size=SAMPLE_CAP)
+        hist = Histogram("h", {})
+        hist.observe_many(values)
+        for q in (0.001, 0.5, 0.95, 0.99, 0.999):
+            assert hist.quantile(q) == np.quantile(values, q)
+
+    def test_one_sample_is_every_quantile(self):
+        hist = Histogram("h", {})
+        hist.observe(-3.25)
+        assert {hist.quantile(q) for q in (0.0, 0.5, 0.999, 1.0)} == {-3.25}
+
+    def test_nan_when_empty(self):
+        assert math.isnan(Histogram("h", {}).quantile(0.5))
+
+    def test_out_of_range_quantile_rejected(self):
+        hist = Histogram("h", {})
+        hist.observe(1.0)
+        with pytest.raises(ValueError):
+            hist.quantile(1.5)
+
+    def test_row_quantiles_match_numpy(self):
+        # every histogram reports the row's p50/p95/p99, whatever
+        # quantiles its owner reads (E18 reads p50 and p99.9)
+        hist = MetricsRegistry().histogram("e18.sla.web_s")
+        values = [float(v) for v in range(1, 101)]
         for v in values:
-            a.observe(v)
-            b.observe(v)
-        assert a.estimate == b.estimate
+            hist.observe(v)
+        row = hist.row()
+        for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+            assert row[key] == np.quantile(values, q), key
+        assert row["p95"] == 95.05
 
-    def test_nan_before_any_sample(self):
-        assert math.isnan(P2Quantile(0.5).estimate)
+    @pytest.mark.parametrize("kind", ["pareto", "lognormal", "negative"])
+    def test_sketch_within_alpha(self, kind):
+        values = _tail_samples(kind, 20_000)
+        hist = Histogram("h", {})
+        hist.observe_many(values)
+        assert hist._sketch  # past the cap: answered by the sketch
+        ordered = np.sort(values)
+        qs = [0.0, 0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0]
+        qs += [k / (len(values) - 1) for k in (1, 77, 10_000, 19_998)]
+        for q in qs:
+            exact = np.quantile(values, q)
+            estimate = hist.quantile(q)
+            assert abs(estimate - exact) <= SKETCH_ALPHA * abs(exact) * (
+                1 + 1e-9), (q, estimate, exact)
+            assert ordered[0] <= estimate <= ordered[-1]
 
-    def test_histogram_quantiles_plumbed(self):
-        hist = MetricsRegistry().histogram("h")
-        for v in range(1, 101):
-            hist.observe(float(v))
-        assert abs(hist.quantile(0.5) - 50.0) < 5.0
-        assert abs(hist.quantile(0.95) - 95.0) < 5.0
-        with pytest.raises(KeyError):
-            hist.quantile(0.42)
+    def test_mixed_signs_and_zeros_past_the_cap(self):
+        rng = np.random.default_rng(8)
+        values = np.concatenate([rng.normal(size=6000), np.zeros(3000)])
+        rng.shuffle(values)
+        hist = Histogram("h", {})
+        hist.observe_many(values)
+        for q in (0.05, 0.25, 0.5, 0.75, 0.95):
+            # the zero bucket answers the middle ranks exactly
+            exact = np.quantile(values, q)
+            assert abs(hist.quantile(q) - exact) <= SKETCH_ALPHA * abs(exact)
+
+    def test_observe_and_observe_many_agree(self):
+        values = _tail_samples("lognormal", 3 * SAMPLE_CAP + 123)
+        one, batched = Histogram("h", {}), Histogram("h", {})
+        for v in values.tolist():
+            one.observe(v)
+        for lo in range(0, len(values), 1000):
+            batched.observe_many(values[lo:lo + 1000])
+        assert one.row() == batched.row()
+        assert one.bucket_counts == batched.bucket_counts
+        for q in (0.01, 0.3, 0.999):
+            assert one.quantile(q) == batched.quantile(q)
 
 
 # -- spans ------------------------------------------------------------------
