@@ -27,10 +27,10 @@ unhandled exception dumps a post-mortem JSON (``--postmortem-dir``,
 ``$REPRO_POSTMORTEM_DIR``, or the working directory).
 
 Parallelism (``--jobs N``) operates at two levels, both deterministic:
-sweep-heavy experiments (E6, E7) fan their independent cells over
-workers and run in the parent process; everything else is fanned out
-whole, one experiment per worker, with captured output reprinted in id
-order. Tables are byte-identical to ``--jobs 1`` — only the wall-clock
+sweep-heavy experiments (E6, E7, E17, E18) fan their independent cells
+over workers and run in the parent process; everything else is fanned
+out whole, one experiment per worker, with captured output reprinted in
+id order. Tables are byte-identical to ``--jobs 1`` — only the wall-clock
 lines differ.
 
 Robustness (see ROBUSTNESS.md)::
@@ -41,9 +41,10 @@ Robustness (see ROBUSTNESS.md)::
     python -m repro E16 --exp-arg scenario=cascading-stub-crashes \
                         --exp-arg invariants=True     # chaos + invariants
 
-``--retries``/``--task-timeout`` run the fan-out under the supervisor
-(crashed or hung workers are killed and their tasks re-run from the same
-derived seed, so the merged tables stay byte-identical); ``--resume``
+``--retries``/``--task-timeout`` apply to every supervised task — whole
+experiments and the sweep cells of E6, E7, E17 and E18 alike (crashed or
+hung workers are killed and their tasks re-run from the same derived
+seed, so the merged tables stay byte-identical); ``--resume``
 journals finished experiments to ``<dir>/manifest.jsonl`` and a rerun
 replays them byte-for-byte, executing only the unfinished ones.
 """
@@ -67,6 +68,7 @@ from repro.runner import (
     SupervisorReport,
     SweepCheckpoint,
     set_jobs,
+    set_supervision,
     supervised_map,
 )
 from repro.telemetry import flightrec
@@ -173,12 +175,16 @@ def _dump_on_exception(exp_id: str, exc: BaseException) -> None:
     """Flight-recorder post-mortem for an unhandled experiment error.
 
     Skipped for Ctrl-C and for errors that already carry a dump (the
-    invariant checker writes its own, richer one before raising).
+    invariant checker writes its own, richer one before raising), also
+    when a serial sweep re-raised one as the cause of a TaskFailedError.
     """
     if isinstance(exc, KeyboardInterrupt):
         return
-    if getattr(exc, "postmortem_path", None):
-        return
+    cause: Optional[BaseException] = exc
+    while cause is not None:
+        if getattr(cause, "postmortem_path", None):
+            return
+        cause = cause.__cause__
     path = flightrec.write_postmortem(
         "experiment-exception",
         detail="".join(traceback.format_exception_only(exc)).strip(),
@@ -260,19 +266,17 @@ def _run_captured(task) -> str:
 def _run_all_parallel(ids: List[str], jobs: int,
                       metrics_out: Optional[str], trace_out: Optional[str],
                       profile: bool,
-                      task_timeout_s: Optional[float] = None,
-                      retries: int = 0,
                       checkpoint: Optional[SweepCheckpoint] = None,
                       profile_out: Optional[str] = None,
                       exp_args: Optional[dict] = None) -> None:
     """Two-phase supervised schedule over ``ids`` (see module docstring).
 
     Cell-parallel experiments run in the parent first, their sweeps
-    spread over the pool; the rest are then fanned out whole under the
-    supervisor (deadlines, heartbeats, bounded retry — see
-    ROBUSTNESS.md). All output is buffered and reprinted in the original
-    id order, so apart from timing lines the stream matches a serial
-    run. With ``checkpoint``, finished experiments are journaled and a
+    spread over the workers; the rest are then fanned out whole. Both
+    run under the supervisor (deadlines, heartbeats, bounded retry —
+    see ROBUSTNESS.md). All output is buffered and reprinted in the
+    original id order, so apart from timing lines the stream matches a
+    serial run. With ``checkpoint``, finished experiments are journaled and a
     rerun replays them byte-for-byte.
     """
     multi = len(ids) > 1
@@ -298,7 +302,6 @@ def _run_all_parallel(ids: List[str], jobs: int,
     texts = supervised_map(_run_captured, tasks, jobs=jobs,
                            costs=[_COST_HINTS.get(i, 0.0) for i in rest],
                            labels=[f"exp:{i}" for i in rest],
-                           task_timeout_s=task_timeout_s, retries=retries,
                            checkpoint=checkpoint, report=report)
     outputs.update(zip(rest, texts))
     for exp_id in ids:
@@ -348,13 +351,15 @@ def main(argv: List[str] = None) -> int:
                              "tables are byte-identical either way)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECS",
-                        help="per-experiment wall-clock deadline; a task "
-                             "over it is declared hung, its worker killed, "
-                             "and the task retried (see --retries)")
+                        help="per-task wall-clock deadline (an experiment "
+                             "or a sweep cell); a task over it is declared "
+                             "hung, its worker killed, and the task "
+                             "retried (see --retries)")
     parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-run a crashed or hung experiment up to N "
-                             "times (tasks are self-seeding, so retried "
-                             "output is byte-identical)")
+                        help="re-run a crashed or hung experiment or "
+                             "sweep cell up to N times (tasks are "
+                             "self-seeding, so retried output is "
+                             "byte-identical)")
     parser.add_argument("--resume", metavar="DIR",
                         help="journal finished experiments to "
                              "DIR/manifest.jsonl and, on rerun, replay "
@@ -418,6 +423,7 @@ def main(argv: List[str] = None) -> int:
         # spawn-method workers rebuild module state from the environment
         os.environ["REPRO_BATCH_TTI"] = "0"
     set_jobs(args.jobs)
+    set_supervision(args.task_timeout, args.retries)
 
     if args.list:
         for exp_id, module in ALL_EXPERIMENTS.items():
@@ -448,8 +454,7 @@ def main(argv: List[str] = None) -> int:
         try:
             _run_all_parallel(ids, args.jobs, args.metrics_out,
                               args.trace_out, args.profile,
-                              task_timeout_s=args.task_timeout,
-                              retries=args.retries, checkpoint=checkpoint,
+                              checkpoint=checkpoint,
                               profile_out=args.profile_out,
                               exp_args=exp_args or None)
         finally:

@@ -43,7 +43,7 @@ from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
 from repro.invariants.network import iter_control_agents
 from repro.metrics.tables import ResultTable
-from repro.runner import parallel_map
+from repro.runner import supervised_map
 from repro.workloads.topology import RuralTown
 from repro.workloads.traffic import FlashCrowdAttachSource
 
@@ -91,7 +91,7 @@ def _settle_dlte(net: DLTENetwork) -> None:
 
 
 def _run_cell(task: Tuple) -> Dict[str, float]:
-    """One (architecture, intensity) cell; picklable for parallel_map."""
+    """One (architecture, intensity) cell; picklable for supervised_map."""
     (arch, intensity, n_aps, ue_per_ap, seed, scenario, invariants,
      overload, chaos_at_s, horizon_s) = task
     n_ues = n_aps * ue_per_ap * intensity
@@ -174,8 +174,10 @@ def run(intensities: Optional[Sequence[int]] = None, n_aps: int = 3,
               invariants, overload, chaos_at_s, horizon_s)
              for intensity in intensities
              for _label, arch_key in _ARCHITECTURES]
-    results = parallel_map(_run_cell, cells,
-                           costs=[cell[1] for cell in cells])
+    results = supervised_map(_run_cell, cells,
+                             costs=[cell[1] for cell in cells],
+                             labels=[f"E17:{cell[0]}:{cell[1]}"
+                                     for cell in cells])
 
     protection = "protected" if overload else "unprotected (seed baseline)"
     suffix = f" under {scenario!r}" if scenario else ""

@@ -57,7 +57,7 @@ from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
 from repro.metrics.tables import ResultTable
 from repro.net.aqm import make_aqm
-from repro.runner import parallel_map
+from repro.runner import supervised_map
 from repro.transport.base import ConnectionState, TransportDemux
 from repro.transport.tcp import TcpConnection, TcpListener
 from repro.workloads.topology import RuralTown
@@ -130,7 +130,7 @@ def _access_links(net) -> List:
 
 
 def _run_cell(task: Tuple) -> Dict[str, float]:
-    """One (arch, mode, load) cell; picklable for parallel_map."""
+    """One (arch, mode, load) cell; picklable for supervised_map."""
     (arch, aqm_on, load, n_aps, ue_per_ap, seed, scenario, invariants,
      qos, aqm, chaos_at_s, settle_s, warmup_s, measure_s,
      backhaul_bps) = task
@@ -395,8 +395,10 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
              for load in loads
              for _label, arch_key in _ARCHITECTURES
              for _mode, aqm_on in _MODES]
-    results = parallel_map(_run_cell, cells,
-                           costs=[cell[2] for cell in cells])
+    results = supervised_map(
+        _run_cell, cells, costs=[cell[2] for cell in cells],
+        labels=[f"E18:{cell[0]}:{'aqm' if cell[1] else 'droptail'}:"
+                f"{cell[2]:g}" for cell in cells])
 
     suffix = f" under {scenario!r}" if scenario else ""
     table = ResultTable(

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Type
 from repro.metrics.tables import ResultTable
 from repro.mobility.handover import dwell_time_s
 from repro.net.addressing import AddressPool
-from repro.runner import parallel_map
+from repro.runner import supervised_map
 from repro.net.internet import InternetCore
 from repro.net.nodes import Host, Router
 from repro.simcore.simulator import Simulator
@@ -275,9 +275,17 @@ def _run_arm(arm: str, dwell: float, seed: int = 1,
 
 
 def _run_cell(task) -> Dict[str, float]:
-    """Picklable cell body for :func:`repro.runner.parallel_map`."""
+    """Picklable cell body for :func:`repro.runner.supervised_map`."""
     arm, dwell, seed, n_handovers = task
     return _run_arm(arm, dwell, seed=seed, n_handovers=n_handovers)
+
+
+def _run_cells(cells) -> List[Dict[str, float]]:
+    """Fan (arm, dwell, seed, n_handovers) cells over the workers."""
+    return supervised_map(_run_cell, cells,
+                          costs=[dwell for _, dwell, _, _ in cells],
+                          labels=[f"E6:{arm}:{dwell:g}"
+                                  for arm, dwell, _, _ in cells])
 
 
 def run(dwells_s: Optional[List[float]] = None,
@@ -305,8 +313,7 @@ def run(dwells_s: Optional[List[float]] = None,
     cells = [(arm, dwell, seed, 4)
              for arm in ("carrier", "dlte-tcp", "dlte-quic")
              for dwell in dwells]
-    results = parallel_map(_run_cell, cells,
-                           costs=[dwell for _, dwell, _, _ in cells])
+    results = _run_cells(cells)
     for (arm, dwell, _, _), stats in zip(cells, results):
         table.add_row(
             arm=arm, speed_m_s=ap_spacing_m / dwell,
@@ -335,8 +342,7 @@ def make_before_break(dwells_s: Optional[List[float]] = None) -> ResultTable:
     cells = [(arm, dwell, 1, 4)
              for arm in ("dlte-quic", "dlte-quic-x2", "dlte-quic-mbb")
              for dwell in dwells]
-    results = parallel_map(_run_cell, cells,
-                           costs=[dwell for _, dwell, _, _ in cells])
+    results = _run_cells(cells)
     for (arm, dwell, _, _), stats in zip(cells, results):
         table.add_row(arm=arm, dwell_s=dwell,
                       throughput_mbps=stats["throughput_bps"] / 1e6,
@@ -355,7 +361,7 @@ def quic_0rtt_ablation(dwell_s: float = 5.0) -> ResultTable:
         "E6 ablation: reconnect handshake cost",
         ["arm", "worst_stall_s", "throughput_mbps"])
     cells = [(arm, dwell_s, 1, 4) for arm in ("dlte-tcp", "dlte-quic")]
-    results = parallel_map(_run_cell, cells)
+    results = _run_cells(cells)
     for (arm, _, _, _), stats in zip(cells, results):
         table.add_row(arm=arm, worst_stall_s=stats["worst_stall_s"],
                       throughput_mbps=stats["throughput_bps"] / 1e6)

@@ -25,7 +25,7 @@ from repro.epc.ue import UeState, UserEquipment
 from repro.metrics.stats import percentile
 from repro.metrics.tables import ResultTable
 from repro.net.addressing import AddressPool
-from repro.runner import parallel_map
+from repro.runner import supervised_map
 from repro.simcore.simulator import Simulator
 
 AIR_DELAY_S = 0.005
@@ -119,7 +119,7 @@ _ARCHITECTURES = (("centralized EPC", _attach_storm_centralized),
 
 
 def _run_cell(task) -> Dict[str, float]:
-    """Picklable cell body for :func:`repro.runner.parallel_map`."""
+    """Picklable cell body for :func:`repro.runner.supervised_map`."""
     arch, n_aps, ue_per_ap, seed = task
     fn = dict(_ARCHITECTURES)[arch]
     return fn(n_aps, ue_per_ap, seed)
@@ -145,8 +145,10 @@ def run(ap_counts: Optional[List[int]] = None, ue_per_ap: int = 8,
          "p95_attach_ms", "core_peak_queue", "core_utilization"])
     cells = [(name, n_aps, ue_per_ap, seed)
              for n_aps in counts for name, _ in _ARCHITECTURES]
-    results = parallel_map(_run_cell, cells,
-                           costs=[n_aps for _, n_aps, _, _ in cells])
+    results = supervised_map(_run_cell, cells,
+                             costs=[n_aps for _, n_aps, _, _ in cells],
+                             labels=[f"E7:{name.split()[0]}:{n_aps}"
+                                     for name, n_aps, _, _ in cells])
     for (name, n_aps, _, _), stats in zip(cells, results):
         table.add_row(architecture=name, n_aps=n_aps,
                       n_ues=n_aps * ue_per_ap,

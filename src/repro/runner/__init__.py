@@ -9,16 +9,18 @@ than from execution order, which this package enforces:
 * :func:`derive_seed` — a stable seed from (root seed, task key), the
   per-task analogue of :meth:`repro.simcore.rng.RngRegistry.stream`'s
   name hashing: same key, same seed, in any process and any order.
-* :func:`parallel_map` — ordered map over ``multiprocessing`` workers,
-  falling back to a plain serial loop at ``jobs=1`` (the default), so
-  parallel tables are byte-identical to serial ones.
-* :class:`ParallelRunner` — the object the CLI drives: holds the job
-  count and maps experiment- and cell-level task lists.
-* :func:`supervised_map` / :class:`SupervisedRunner` — the same ordered
-  map under supervision: per-task deadlines, worker heartbeats, crashed
-  and hung-worker kill + bounded retry (byte-identical by stable
-  reseeding), structured :class:`TaskFailure` records, and
+* :func:`supervised_map` — the one ordered map, for experiments and
+  sweep cells alike: fork workers with per-task deadlines, heartbeats,
+  crashed and hung-worker kill + bounded retry (byte-identical by
+  stable reseeding), structured :class:`TaskFailure` records, and
   checkpoint/resume via :class:`SweepCheckpoint` (see ROBUSTNESS.md).
+  ``jobs=1`` (the default) runs a plain serial loop, so parallel tables
+  are byte-identical to serial ones.
+* :func:`set_jobs` / :func:`set_supervision` — the process-wide
+  defaults the CLI's ``--jobs``, ``--task-timeout`` and ``--retries``
+  set for every map.
+* :class:`~repro.runner.shardpool.ShardWorkerPool` — the same workers
+  pinned one per shard for a fork-mode sharded simulation.
 
 Telemetry composes (see OBSERVABILITY.md): when a
 :data:`~repro.telemetry.hub.HUB` run is active, workers bracket each
@@ -29,35 +31,25 @@ would.
 """
 
 from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.parallel import (
-    ParallelRunner,
-    WorkerTaskError,
-    get_jobs,
-    in_worker,
-    parallel_map,
-    set_jobs,
-)
+from repro.runner.parallel import get_jobs, in_worker, set_jobs
 from repro.runner.seeds import derive_seed
 from repro.runner.supervisor import (
-    SupervisedRunner,
     SupervisorReport,
     TaskFailedError,
     TaskFailure,
+    set_supervision,
     supervised_map,
 )
 
 __all__ = [
-    "ParallelRunner",
-    "SupervisedRunner",
     "SupervisorReport",
     "SweepCheckpoint",
     "TaskFailedError",
     "TaskFailure",
-    "WorkerTaskError",
     "derive_seed",
     "get_jobs",
     "in_worker",
-    "parallel_map",
     "set_jobs",
+    "set_supervision",
     "supervised_map",
 ]

@@ -1,138 +1,98 @@
-"""Fork-worker pool for sharded simulation: one process per shard.
+"""Fork-worker driver for sharded simulation: one pinned worker per shard.
 
 The :class:`~repro.simcore.sharded.ShardedSimulator` façade drives its
 shards through a small driver interface (``couplings`` / ``start_time``
 / ``step`` / ``harvest`` / ``close``). This module is the multi-process
-implementation: each shard gets a forked worker holding the built
-:class:`~repro.simcore.sharded.ShardHost`, and every window is one
-pipe round-trip per shard — the parent broadcasts ``(step, until,
-final, records)``, the workers advance concurrently, and the parent
-gathers each shard's egress and execution wall-clock at the barrier.
+implementation. Each shard pins one supervisor worker
+(:class:`repro.runner.supervisor._Worker`) and runs stateful tasks on
+it: a build task keeps the built
+:class:`~repro.simcore.sharded.ShardHost` in the worker's module state
+(and, under an active hub run, opens the worker's own run), a step task
+advances it one window, and a harvest task returns the result, the
+stats and the worker's telemetry export. Every window is one pipe
+round-trip per shard — the parent sends ``(until, final, records)`` to
+every shard, the workers advance concurrently, and the parent blocks on
+each reply in shard order.
 
-Differences from :func:`repro.runner.parallel.parallel_map` (which fans
-*independent* cells): shard workers are **stateful** — the simulator
-lives in the worker across all windows, so per-window traffic is just
-the cross-shard records, not the world. The pool reuses the runner's
-conventions: fork start method, :func:`~repro.runner.parallel.mark_worker`
-(nested pools degrade to serial), SIGINT shielding, and the telemetry
-hub's worker export/absorb protocol so ``--profile`` output merges
-per-shard data exactly like a serial drive.
+Shard workers are **stateful**, so unlike
+:func:`~repro.runner.supervisor.supervised_map` cells they are never
+retried and have no deadline: an exception or a dead worker raises
+:class:`~repro.runner.supervisor.TaskFailedError` naming the shard at
+once. They share everything else with the supervised map: fork start,
+nested maps degrading to serial, SIGINT shielding, the SIGTERM
+flight-recorder post-mortem, the ``atexit`` reaper, and the hub's
+worker export/absorb protocol so ``--profile`` output merges per-shard
+data exactly like a serial drive.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-import traceback
+import time
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
-from repro.runner.parallel import mark_worker
+from repro.runner.supervisor import _Worker
 from repro.telemetry.hub import HUB
 
-__all__ = ["ShardWorkerError", "ShardWorkerPool"]
+__all__ = ["ShardWorkerPool"]
+
+#: The shard this worker process hosts (each shard pins its own worker).
+_HOST: Any = None
 
 
-class ShardWorkerError(RuntimeError):
-    """A shard worker raised (or died); carries the worker-side traceback."""
-
-    def __init__(self, shard: int, exc_type: str, traceback_text: str) -> None:
-        super().__init__(
-            f"shard {shard} worker failed with {exc_type}; "
-            f"original traceback:\n{traceback_text}")
-        self.shard = shard
-        self.exc_type = exc_type
-        self.traceback_text = traceback_text
-
-
-def _shard_worker_main(conn, builder: Callable[[Any], Any], spec: Any,
-                       collect: bool, profile: bool, trace: bool) -> None:
-    """Worker loop: build the shard, then serve window steps until harvest."""
-    mark_worker()  # also aborts any hub run inherited via fork
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
+def _build(task) -> Tuple[float, List[Tuple[str, int, float]]]:
+    """Worker task: build the shard and keep it for the later tasks."""
+    global _HOST
+    builder, spec, collect, profile, trace = task
     if collect:
         HUB.start_run(profile=profile, trace=trace)
-    try:
-        host = builder(spec)
-        conn.send(("ready", host.sim.now, list(host.boundary.couplings)))
-        import time as _time
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "step":
-                _op, until, final, records = msg
-                t0 = _time.perf_counter()
-                host.inject(records)
-                host.advance(until, final)
-                spent = _time.perf_counter() - t0
-                conn.send(("ok", host.boundary.drain(), spent))
-            elif op == "harvest":
-                result = host.harvest()
-                stats = host.stats()
-                payload = HUB.export_worker_run() if collect else None
-                conn.send(("done", result, stats, payload))
-                return
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown shard op {op!r}")
-    except BaseException as exc:
-        if collect and HUB.active:
-            HUB.abort_run()
-        try:
-            conn.send(("error", type(exc).__name__, traceback.format_exc()))
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        conn.close()
+    _HOST = builder(spec)
+    return _HOST.sim.now, list(_HOST.boundary.couplings)
+
+
+def _step(task) -> Tuple[List[Any], float]:
+    """Worker task: inject the barrier's records and run one window."""
+    until, final, records = task
+    t0 = time.perf_counter()
+    _HOST.inject(records)
+    _HOST.advance(until, final)
+    return _HOST.boundary.drain(), time.perf_counter() - t0
+
+
+def _harvest(_task) -> Tuple[Any, Dict[str, Any], Any]:
+    """Worker task: the shard's result, stats and telemetry export."""
+    result = _HOST.harvest()
+    stats = _HOST.stats()
+    payload = HUB.export_worker_run() if HUB.active else None
+    return result, stats, payload
 
 
 class ShardWorkerPool:
-    """Driver that runs each shard in its own forked process."""
+    """Driver that runs each shard on its own pinned supervisor worker."""
 
     def __init__(self, builder: Callable[[Any], Any], specs: Sequence[Any]) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self._collect = HUB.active
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
-        self._start_time = 0.0
-        self._couplings: List[List[Tuple[str, int, float]]] = []
-        profile, trace = HUB.profiling, HUB.tracing
+        self._workers: List[_Worker] = []
         try:
-            for spec in specs:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, builder, spec,
-                          self._collect, profile, trace),
-                    daemon=True)
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-            starts = []
-            for shard, conn in enumerate(self._conns):
-                reply = self._recv(shard, conn, expect="ready")
-                starts.append(reply[1])
-                self._couplings.append(reply[2])
-            self._start_time = max(starts)
+            for _ in specs:
+                self._workers.append(_Worker())
+            hub = (HUB.active, HUB.profiling, HUB.tracing)
+            ready = self._call("build", _build,
+                               [(builder, spec, *hub) for spec in specs])
         except BaseException:
             self.close()
             raise
+        self._start_time = max(now for now, _ in ready)
+        self._couplings = [couplings for _, couplings in ready]
 
-    def _recv(self, shard: int, conn, expect: str):
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            raise ShardWorkerError(shard, "WorkerDied",
-                                   "worker exited without a reply "
-                                   "(killed or crashed hard)") from None
-        if reply[0] == "error":
-            raise ShardWorkerError(shard, reply[1], reply[2])
-        if reply[0] != expect:  # pragma: no cover - protocol bug
-            raise ShardWorkerError(shard, "Protocol",
-                                   f"expected {expect!r}, got {reply[0]!r}")
-        return reply
+    def _call(self, what: str, fn: Callable[[Any], Any],
+              tasks: Sequence[Any]) -> List[Any]:
+        """Send one task to every shard, then block on each reply."""
+        for shard, (worker, task) in enumerate(zip(self._workers, tasks)):
+            try:
+                worker.assign(shard, f"shard {shard} {what}", fn, task)
+            except (BrokenPipeError, OSError):
+                pass  # the worker is dead: wait() reports the crash
+        return [worker.wait(task)
+                for worker, task in zip(self._workers, tasks)]
 
     def couplings(self) -> List[List[Tuple[str, int, float]]]:
         return self._couplings
@@ -143,46 +103,25 @@ class ShardWorkerPool:
     def step(self, until: float, final: bool,
              injections: Sequence[Sequence[Any]],
              ) -> Tuple[List[List[Any]], List[float]]:
-        for conn, records in zip(self._conns, injections):
-            conn.send(("step", until, final, records))
-        egress: List[List[Any]] = []
-        exec_s: List[float] = []
-        for shard, conn in enumerate(self._conns):
-            reply = self._recv(shard, conn, expect="ok")
-            egress.append(reply[1])
-            exec_s.append(reply[2])
-        return egress, exec_s
+        replies = self._call("step", _step, [(until, final, records)
+                                             for records in injections])
+        return ([egress for egress, _ in replies],
+                [spent for _, spent in replies])
 
     def harvest(self) -> Tuple[List[Any], List[Dict[str, Any]]]:
-        for conn in self._conns:
-            conn.send(("harvest",))
-        results: List[Any] = []
-        stats: List[Dict[str, Any]] = []
-        payloads: List[Any] = []
-        for shard, conn in enumerate(self._conns):
-            reply = self._recv(shard, conn, expect="done")
-            results.append(reply[1])
-            stats.append(reply[2])
-            payloads.append(reply[3])
-        if self._collect:
-            # Absorb in shard order so merged telemetry matches a
-            # serial drive's adoption order.
-            for payload in payloads:
-                if payload is not None:
-                    HUB.absorb_worker_run(payload)
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        return results, stats
+        replies = self._call("harvest", _harvest, [None] * len(self._workers))
+        # Absorb in shard order so merged telemetry matches a serial
+        # drive's adoption order.
+        for _, _, payload in replies:
+            if payload is not None:
+                HUB.absorb_worker_run(payload)
+        return ([result for result, _, _ in replies],
+                [stats for _, stats, _ in replies])
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-        self._procs = []
-        self._conns = []
+        for worker in self._workers:
+            if worker.busy:  # a failed window: do not wait on the rest
+                worker.kill()
+            else:
+                worker.stop()
+        self._workers = []

@@ -1,18 +1,20 @@
 """Supervised ordered map: deadlines, heartbeats, kill, and retry.
 
-:func:`repro.runner.parallel.parallel_map` assumes every worker is
-well-behaved: a crashed fork worker (OOM kill, segfault in a native
-extension) or a hung task would strand the whole ``--all --jobs N``
-regeneration. This module is the execution layer the paper's own
-argument demands the harness have (§3: independently-failing parts must
-not take the federation down): it runs the same ordered, self-seeding
-task contract under *supervision*:
+The one place the harness starts processes. A crashed fork worker (OOM
+kill, segfault in a native extension) or a hung task must not strand
+the whole ``--all --jobs N`` regeneration; this module is the execution
+layer the paper's own argument demands the harness have (§3:
+independently-failing parts must not take the federation down). It runs
+the ordered, self-seeding task contract of :mod:`repro.runner.parallel`
+under *supervision* — for whole experiments, for their sweep cells, and
+(as pinned stateful workers) for the shards of a fork-mode
+:class:`~repro.simcore.sharded.ShardedSimulator`:
 
 * **per-task deadlines** — a task that exceeds ``task_timeout_s`` of
   wall clock is declared hung and its worker is killed (SIGKILL);
 * **heartbeats** — each worker beats on its result pipe from a side
   thread; a silent-but-alive worker (SIGSTOP, kernel-level wedge) is
-  declared hung after ``heartbeat_timeout_s`` even with no deadline set;
+  declared hung after ``_HEARTBEAT_LIMIT_S`` even with no deadline set;
 * **crash detection** — a worker whose pipe hits EOF (process died) is
   reaped and replaced;
 * **bounded retry with stable reseeding** — a killed or crashed task is
@@ -44,6 +46,8 @@ deadline (``hang``) — exactly once per label, so the retry succeeds.
 from __future__ import annotations
 
 import atexit
+import itertools
+import multiprocessing
 import os
 import pickle
 import signal
@@ -55,19 +59,48 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from multiprocessing.connection import wait as _conn_wait
 
-from repro.runner.parallel import _pool_context, get_jobs, in_worker, \
-    mark_worker
+from repro.runner.parallel import get_jobs, in_worker, mark_worker
 from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB, ambient_registry
 
-__all__ = ["SupervisedRunner", "SupervisorReport", "TaskFailedError",
-           "TaskFailure", "supervised_map"]
+__all__ = ["SupervisorReport", "TaskFailedError", "TaskFailure",
+           "set_supervision", "supervised_map"]
 
 #: Live supervisor worker processes, reaped at interpreter exit.
 _LIVE_WORKERS: set = set()
 
 #: Parent poll tick (seconds): bounds detection latency, not throughput.
 _TICK_S = 0.05
+
+#: Worker beat interval, and the silence after which a busy worker
+#: that is still alive is declared hung.
+_HEARTBEAT_S = 1.0
+_HEARTBEAT_LIMIT_S = 5.0
+
+#: Process-wide supervision defaults, set once by the CLI's
+#: ``--task-timeout`` and ``--retries`` (see :func:`set_supervision`).
+_TASK_TIMEOUT_S: Optional[float] = None
+_RETRIES = 0
+
+#: Task tokens: a result is matched to the attempt that produced it.
+_TOKENS = itertools.count(1)
+
+
+def set_supervision(task_timeout_s: Optional[float] = None,
+                    retries: int = 0) -> None:
+    """Set the deadline and retry budget every :func:`supervised_map`
+    call defaults to — experiment-level fan-out and sweep cells alike.
+
+    ``task_timeout_s=None`` means no deadline.
+    """
+    global _TASK_TIMEOUT_S, _RETRIES
+    if task_timeout_s is not None and task_timeout_s <= 0:
+        raise ValueError(f"task_timeout_s must be positive, "
+                         f"got {task_timeout_s}")
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    _TASK_TIMEOUT_S = task_timeout_s
+    _RETRIES = int(retries)
 
 
 def _reap_workers() -> None:
@@ -195,16 +228,20 @@ def _maybe_chaos(label: str) -> None:
 # -- worker side ---------------------------------------------------------------
 
 
-def _worker_main(conn, heartbeat_s: float) -> None:
+def _worker_main(conn) -> None:
     """Supervisor worker: serve tasks from ``conn`` until told to stop.
 
     Protocol (all on one duplex pipe, parent <-> worker):
 
     * parent -> worker: ``("task", token, slot, label, fn, item,
       collect, profile, trace)`` or ``("stop",)``;
-    * worker -> parent: ``("beat", token)`` every ``heartbeat_s`` while
+    * worker -> parent: ``("beat", token)`` every ``_HEARTBEAT_S`` while
       a task runs, then ``("done", token, slot, result)`` or
       ``("fail", token, slot, exc_type, traceback_text)``.
+
+    The worker process outlives its tasks, so a task may keep state in
+    its own module between calls: the shard pool pins one worker per
+    shard and holds the shard's simulator there across windows.
 
     A side thread emits the beats; sends are serialized with a lock so
     a beat never interleaves a result mid-pickle.
@@ -225,7 +262,8 @@ def _worker_main(conn, heartbeat_s: float) -> None:
         flightrec.write_postmortem(
             "supervisor-kill",
             detail=f"worker pid {os.getpid()} terminated by supervisor "
-                   f"(deadline or heartbeat timeout)")
+                   f"(deadline, heartbeat timeout, or teardown after a "
+                   f"failed task)")
         os._exit(70)
 
     try:
@@ -237,7 +275,7 @@ def _worker_main(conn, heartbeat_s: float) -> None:
     stop_beats = threading.Event()
 
     def beat_loop() -> None:
-        while not stop_beats.wait(heartbeat_s):
+        while not stop_beats.wait(_HEARTBEAT_S):
             token = current_token[0]
             if token is None:
                 continue
@@ -302,22 +340,32 @@ def _worker_main(conn, heartbeat_s: float) -> None:
 # -- parent side ---------------------------------------------------------------
 
 
+def _context():
+    """Prefer fork (cheap, Linux default); fall back to the platform default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-fork platforms
+        return multiprocessing.get_context()
+
+
 class _Worker:
     """Parent-side handle: process, pipe, and the task it holds."""
 
-    __slots__ = ("proc", "conn", "token", "slot", "started_at", "last_beat")
+    __slots__ = ("proc", "conn", "token", "slot", "label", "started_at",
+                 "last_beat")
 
-    def __init__(self, ctx, heartbeat_s: float) -> None:
+    def __init__(self) -> None:
+        ctx = _context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
-        self.proc = ctx.Process(target=_worker_main,
-                                args=(child_conn, heartbeat_s),
+        self.proc = ctx.Process(target=_worker_main, args=(child_conn,),
                                 daemon=True, name="repro-supervised-worker")
         self.proc.start()
         child_conn.close()  # the worker holds the only other end
         _LIVE_WORKERS.add(self.proc)
         self.token: Optional[int] = None
         self.slot: Optional[int] = None
+        self.label = ""
         self.started_at = 0.0
         self.last_beat = 0.0
 
@@ -325,17 +373,47 @@ class _Worker:
     def busy(self) -> bool:
         return self.token is not None
 
-    def assign(self, token: int, slot: int, label: str, fn, item,
-               collect: bool, profile: bool, trace: bool) -> None:
+    def assign(self, slot: int, label: str, fn, item, collect: bool = False,
+               profile: bool = False, trace: bool = False) -> None:
         now = time.monotonic()
-        self.token, self.slot = token, slot
+        self.token, self.slot, self.label = next(_TOKENS), slot, label
         self.started_at = self.last_beat = now
-        self.conn.send(("task", token, slot, label, fn, item,
+        self.conn.send(("task", self.token, slot, label, fn, item,
                         collect, profile, trace))
 
     def settle(self) -> None:
         """Mark idle after a result arrived."""
         self.token = self.slot = None
+
+    def wait(self, item: Any) -> Any:
+        """Block until the held task replies; return its result.
+
+        For pinned stateful workers (the shard pool), whose tasks cannot
+        be retried elsewhere: beats are skipped, and an exception or a
+        dead worker raises :class:`TaskFailedError` at once.
+        """
+        while True:
+            try:
+                message = self.conn.recv()
+            except (EOFError, OSError):
+                self.proc.join(1.0)
+                kind = "crash"
+                detail = (f"worker pid {self.proc.pid} died "
+                          f"(pipe EOF, exitcode {self.proc.exitcode})")
+                break
+            if message[0] == "beat" or message[1] != self.token:
+                continue
+            if message[0] == "done":
+                self.settle()
+                return message[3]
+            kind = "exception"
+            detail = f"{message[3]} in worker:\n{message[4]}"
+            break
+        failure = TaskFailure(label=self.label, slot=self.slot, attempt=1,
+                              kind=kind, detail=detail,
+                              elapsed_s=time.monotonic() - self.started_at)
+        self.settle()
+        raise TaskFailedError(failure, item, [failure])
 
     def kill(self, grace_s: float = 1.0) -> None:
         """Terminate the process and drop it from the live registry.
@@ -374,63 +452,63 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
                    costs: Optional[Sequence[float]] = None,
                    labels: Optional[Sequence[str]] = None,
                    task_timeout_s: Optional[float] = None,
-                   retries: int = 0,
-                   heartbeat_s: float = 1.0,
-                   heartbeat_timeout_s: Optional[float] = None,
+                   retries: Optional[int] = None,
                    checkpoint=None,
-                   on_result: Optional[Callable[[int, str, Any], None]] = None,
                    report: Optional[SupervisorReport] = None) -> List[Any]:
-    """Ordered map with supervision; results in item order.
+    """Ordered map over supervised fork workers; results in item order.
 
-    Same contract as :func:`~repro.runner.parallel.parallel_map` —
-    picklable ``fn``/``items``, self-seeding tasks, optional longest-
-    first ``costs``, telemetry shipped home under an active hub run —
+    The contract of :mod:`repro.runner.parallel` — picklable
+    ``fn``/``items``, self-seeding tasks, nested calls run serially —
     plus supervision:
 
     Args:
+        jobs: worker count; defaults to :func:`~repro.runner.parallel.
+            get_jobs`. ``1`` (or a nested call inside a worker) runs
+            inline — the reference behavior parallel runs must match.
+        costs: optional per-item cost hints; tasks are *submitted*
+            longest-first, results still come back in item order.
         labels: stable per-task names (default the item index as a
             string); used in failure records, chaos plans, and as
             checkpoint keys — must be unique.
         task_timeout_s: wall-clock deadline per attempt; exceeding it
-            kills the worker and counts a hang.
-        retries: extra attempts per task after a crash/hang/exception.
-        heartbeat_s: worker beat interval.
-        heartbeat_timeout_s: declare a silent worker hung after this
-            long without a beat (default ``max(4 * heartbeat_s, 5 s)``);
-            crashes are detected immediately via pipe EOF regardless.
+            kills the worker and counts a hang. ``None`` takes the
+            process-wide default (:func:`set_supervision`).
+        retries: extra attempts per task after a crash/hang/exception;
+            ``None`` takes the process-wide default.
         checkpoint: a :class:`~repro.runner.checkpoint.SweepCheckpoint`;
             tasks already journaled are replayed without executing, and
             completed tasks are journaled as they finish (results must
             be JSON-serializable). Incompatible with an active telemetry
             run (replayed tasks would contribute no telemetry).
-        on_result: called as ``on_result(slot, label, result)`` in
-            completion order, for incremental consumers (the CLI streams
-            finished experiments into the checkpoint through this).
         report: a :class:`SupervisorReport` to fill in (one is created
             internally otherwise).
 
     Raises:
         TaskFailedError: a task failed ``retries + 1`` times; all
-            workers are killed and joined before it propagates.
+            workers are killed and joined before it propagates. At
+            ``jobs=1`` it is chained from the task's own exception.
 
-    Serial mode (``jobs=1`` or nested in a worker) executes inline with
-    the same retry/annotation/checkpoint semantics but cannot preempt
-    hangs — deadlines need workers. A single pending item at ``jobs>1``
-    therefore still gets a worker, so ``--task-timeout`` protects
-    one-experiment runs too.
+    Serial mode executes inline with the same retry/annotation/
+    checkpoint semantics but cannot preempt hangs — deadlines need
+    workers. A single pending item at ``jobs>1`` therefore still gets a
+    worker, so ``--task-timeout`` protects one-task maps too.
 
-    With an active hub run, each map also records runner-lifecycle
-    timings (fork, queue wait, exec, pickle, ship, merge) into
-    ``HUB.lifecycle`` — see OBSERVABILITY.md.
+    Telemetry (see OBSERVABILITY.md): with an active hub run, each task
+    is bracketed with a worker-side hub run and its per-simulator
+    telemetry is absorbed into the parent run in item order, and each
+    map records runner-lifecycle timings (fork, queue wait, exec,
+    pickle, ship, merge) into ``HUB.lifecycle``.
     """
     items = list(items)
     n = jobs if jobs is not None else get_jobs()
     if n < 1:
         raise ValueError(f"jobs must be >= 1, got {n}")
+    if task_timeout_s is None:
+        task_timeout_s = _TASK_TIMEOUT_S
+    if retries is None:
+        retries = _RETRIES
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
-    if heartbeat_s <= 0:
-        raise ValueError("heartbeat interval must be positive")
     if labels is None:
         labels = [str(i) for i in range(len(items))]
     else:
@@ -469,8 +547,6 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
         report.completed += 1
         if checkpoint is not None:
             checkpoint.record(labels[slot], results[slot])
-        if on_result is not None:
-            on_result(slot, labels[slot], results[slot])
 
     if n == 1 or in_worker():
         _serial_supervised(fn, items, labels, pending, retries, report,
@@ -478,8 +554,7 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
         record = None
     else:
         record = _parallel_supervised(fn, items, labels, pending, costs, n,
-                                      task_timeout_s, retries, heartbeat_s,
-                                      heartbeat_timeout_s, report,
+                                      task_timeout_s, retries, report,
                                       collecting, finish)
 
     if collecting:
@@ -512,7 +587,7 @@ def _serial_supervised(fn, items, labels, pending, retries, report,
                 if collecting:
                     # serial mode inside an active run: the parent hub
                     # already collects this process's simulators, so run
-                    # the task directly (mirrors parallel_map jobs=1)
+                    # the task directly
                     value = (fn(items[slot]), None)
                 else:
                     value = fn(items[slot])
@@ -535,16 +610,13 @@ def _serial_supervised(fn, items, labels, pending, retries, report,
 
 
 def _parallel_supervised(fn, items, labels, pending, costs, jobs,
-                         task_timeout_s, retries, heartbeat_s,
-                         heartbeat_timeout_s, report, collecting,
+                         task_timeout_s, retries, report, collecting,
                          finish):
     """The supervised pool: assign, watch, kill, retry.
 
     Returns the map's lifecycle record (or None when not collecting) so
     the caller can add hub-merge timings and close it.
     """
-    beat_limit = (heartbeat_timeout_s if heartbeat_timeout_s is not None
-                  else max(4.0 * heartbeat_s, 5.0))
     queue = list(pending)
     if costs is not None:
         queue.sort(key=lambda slot: -costs[slot])
@@ -553,18 +625,15 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
     attempts: Dict[int, int] = {slot: 0 for slot in pending}
     history: Dict[int, List[TaskFailure]] = {slot: [] for slot in pending}
     profile, trace = HUB.profiling, HUB.tracing
-    ctx = _pool_context()
     lifecycle = HUB.lifecycle if collecting else None
     map_started = time.monotonic()
-    workers: List[_Worker] = [_Worker(ctx, heartbeat_s)
+    workers: List[_Worker] = [_Worker()
                               for _ in range(min(jobs, len(pending)))]
     record = None
     if lifecycle is not None:
-        record = lifecycle.begin_map("supervised",
-                                     min(jobs, len(pending)))
+        record = lifecycle.begin_map(min(jobs, len(pending)))
         record.started_at = map_started
         record.fork_s = time.monotonic() - map_started
-    tokens = iter(range(1, 1 << 62))
     outstanding = len(pending)
 
     def assign_next(worker: _Worker) -> None:
@@ -572,8 +641,8 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
             slot = queue.pop()
             attempts[slot] += 1
             try:
-                worker.assign(next(tokens), slot, labels[slot], fn,
-                              items[slot], collecting, profile, trace)
+                worker.assign(slot, labels[slot], fn, items[slot],
+                              collecting, profile, trace)
                 return
             except (BrokenPipeError, OSError):
                 # the worker died between spawn and first task: charge
@@ -582,7 +651,7 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
                 queue.append(slot)
                 worker.kill()
                 workers.remove(worker)
-                worker = _Worker(ctx, heartbeat_s)
+                worker = _Worker()
                 workers.append(worker)
 
     def fail_task(worker: _Worker, kind: str, detail: str) -> _Worker:
@@ -599,7 +668,7 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
         elapsed = time.monotonic() - worker.started_at
         worker.kill()
         workers.remove(worker)
-        replacement = _Worker(ctx, heartbeat_s)
+        replacement = _Worker()
         workers.append(replacement)
         failure = TaskFailure(label=labels[slot], slot=slot,
                               attempt=attempts[slot], kind=kind,
@@ -639,7 +708,7 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
                     else:  # idle worker died: just replace it
                         worker.kill()
                         workers.remove(worker)
-                        workers.append(_Worker(ctx, heartbeat_s))
+                        workers.append(_Worker())
                     continue
                 kind = message[0]
                 if kind == "beat":
@@ -701,11 +770,11 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
                         worker, "hang",
                         f"exceeded task deadline of {task_timeout_s:g}s")
                     assign_next(replacement)
-                elif now - worker.last_beat > beat_limit:
+                elif now - worker.last_beat > _HEARTBEAT_LIMIT_S:
                     if worker.proc.is_alive():
                         replacement = fail_task(
                             worker, "hang",
-                            f"no heartbeat for {beat_limit:g}s "
+                            f"no heartbeat for {_HEARTBEAT_LIMIT_S:g}s "
                             f"(worker alive but silent)")
                     else:
                         replacement = fail_task(
@@ -717,35 +786,3 @@ def _parallel_supervised(fn, items, labels, pending, costs, jobs,
         for worker in workers:
             worker.stop()
     return record
-
-
-class SupervisedRunner:
-    """A configured supervised fan-out (the CLI's execution object)."""
-
-    def __init__(self, jobs: Optional[int] = None,
-                 task_timeout_s: Optional[float] = None,
-                 retries: int = 0, heartbeat_s: float = 1.0) -> None:
-        self.jobs = jobs if jobs is not None else get_jobs()
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        self.task_timeout_s = task_timeout_s
-        self.retries = retries
-        self.heartbeat_s = heartbeat_s
-        self.report = SupervisorReport()
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            costs: Optional[Sequence[float]] = None,
-            labels: Optional[Sequence[str]] = None,
-            checkpoint=None,
-            on_result: Optional[Callable[[int, str, Any], None]] = None
-            ) -> List[Any]:
-        """Supervised ordered map at this runner's configuration."""
-        return supervised_map(
-            fn, items, jobs=self.jobs, costs=costs, labels=labels,
-            task_timeout_s=self.task_timeout_s, retries=self.retries,
-            heartbeat_s=self.heartbeat_s, checkpoint=checkpoint,
-            on_result=on_result, report=self.report)
-
-    def __repr__(self) -> str:
-        return (f"<SupervisedRunner jobs={self.jobs} "
-                f"timeout={self.task_timeout_s} retries={self.retries}>")

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import time
 
 import pytest
 
@@ -187,6 +188,25 @@ def test_supervised_run_output_matches_serial(capsys):
                  "--task-timeout", "300"]) == 0
     supervised = _strip_wall_times(capsys.readouterr().out)
     assert supervised == serial
+
+
+def test_hung_sweep_cell_is_killed_and_retried(tmp_path, capsys,
+                                              monkeypatch):
+    # --task-timeout and --retries reach E7's sweep cells, not only
+    # whole experiments: a hung cell is killed at the deadline, re-run
+    # from its derived seed, and the table matches a clean run
+    e7 = ["E7", "--exp-arg", "ap_counts=[1, 2]", "--exp-arg", "ue_per_ap=2"]
+    assert main(e7) == 0
+    clean = _strip_wall_times(capsys.readouterr().out)
+    monkeypatch.setenv("REPRO_CHAOS_PLAN", "E7:dLTE:2:hang")
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+    started = time.monotonic()
+    assert main(e7 + ["--jobs", "2", "--task-timeout", "5",
+                      "--retries", "1"]) == 0
+    elapsed = time.monotonic() - started
+    assert _strip_wall_times(capsys.readouterr().out) == clean
+    assert (tmp_path / "chaos-E7:dLTE:2.done").exists()  # the hang fired
+    assert elapsed < 30  # the deadline, not the hang, ended the attempt
 
 
 def test_resume_replays_byte_identical(tmp_path, capsys):

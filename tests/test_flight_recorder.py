@@ -172,6 +172,29 @@ def test_experiment_exception_dumps_once_via_cli(tmp_path, monkeypatch):
     assert "no_such_kwarg" in record["detail"]
 
 
+def _violating_cell(task):
+    checker = InvariantChecker(Simulator(0))
+    checker.register("unit-law", "widget", lambda: ["it broke"])
+    checker.verify()
+
+
+def test_serial_cell_violation_dumps_once_via_cli(tmp_path, monkeypatch):
+    # a serial sweep re-raises a cell's error as the cause of a
+    # TaskFailedError; the invariant checker's own dump is the only one
+    from repro.__main__ import main
+    from repro.experiments import e7_core_scaling
+    from repro.runner import TaskFailedError
+
+    monkeypatch.setenv("REPRO_POSTMORTEM_DIR", str(tmp_path))
+    monkeypatch.setattr(e7_core_scaling, "_run_cell", _violating_cell)
+    with pytest.raises(TaskFailedError) as excinfo:
+        main(["E7", "--exp-arg", "ap_counts=[1]"])
+    assert isinstance(excinfo.value.__cause__, InvariantError)
+    dumps = [f for f in os.listdir(tmp_path) if f.startswith("postmortem-")]
+    assert len(dumps) == 1
+    assert dumps[0].startswith("postmortem-invariant-violation")
+
+
 # -- trigger: supervisor kill -------------------------------------------------
 
 

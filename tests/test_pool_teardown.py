@@ -1,11 +1,11 @@
 """Regression tests: no orphan workers, and worker errors stay legible.
 
-The PR-1 incident class this guards: a Ctrl-C (or parent death) during
+The incident class this guards: a Ctrl-C (or parent death) during
 ``--all --jobs N`` leaving fork workers running forever. The tests
-drive a real child interpreter, interrupt it mid-map, and assert every
-worker PID is gone. Worker exceptions must likewise surface the
-*original* traceback annotated with the failing task — not a bare
-``RemoteTraceback`` soup.
+drive a real child interpreter, interrupt it mid-map (or mid-window of
+a fork-mode sharded run), and assert every worker PID is gone. Worker
+exceptions must likewise surface the *original* traceback annotated
+with the failing task — not a bare ``RemoteTraceback`` soup.
 """
 
 import os
@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.runner import WorkerTaskError, parallel_map
+from repro.runner import TaskFailedError, supervised_map
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -30,12 +30,20 @@ DRIVER = textwrap.dedent("""
             fh.write(str(os.getpid()))
         time.sleep(120)  # far longer than the test: must be torn down
 
+    def build_shard(arg):
+        from repro.simcore.sharded import ShardBoundary, ShardHost
+        from repro.simcore.simulator import Simulator
+        slot, pid_dir = arg
+        sim = Simulator(1)
+        sim.at(0.0, task, arg)  # the first window blocks in task()
+        return ShardHost(sim, ShardBoundary(sim, slot, 2))
+
     if __name__ == "__main__":
         kind, pid_dir = sys.argv[1], sys.argv[2]
         items = [(i, pid_dir) for i in range(2)]
-        if kind == "parallel":
-            from repro.runner import parallel_map
-            parallel_map(task, items, jobs=2)
+        if kind == "shards":
+            from repro.simcore.sharded import ShardedSimulator
+            ShardedSimulator(build_shard, items, mode="fork").run(until=1.0)
         else:
             from repro.runner import supervised_map
             supervised_map(task, items, jobs=2)
@@ -61,7 +69,7 @@ def _alive(pid: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("kind", ["parallel", "supervised"])
+@pytest.mark.parametrize("kind", ["supervised", "shards"])
 def test_sigint_leaves_no_orphan_workers(tmp_path, kind):
     driver = tmp_path / "driver.py"
     driver.write_text(DRIVER)
@@ -92,14 +100,15 @@ def _explode(item):
 
 
 def test_parallel_map_surfaces_original_traceback():
-    with pytest.raises(WorkerTaskError) as excinfo:
-        parallel_map(_explode, ["seed-17", "seed-18"], jobs=2)
+    with pytest.raises(TaskFailedError) as excinfo:
+        supervised_map(_explode, ["seed-17", "seed-18"], jobs=2)
     err = excinfo.value
     message = str(err)
     # annotated with the failing task and the item (which names its seed)
-    assert err.slot in (0, 1)
+    assert err.failure.slot in (0, 1)
     assert "seed-17" in message or "seed-18" in message
     # and the worker-side traceback text, not a pickled wrapper
-    assert err.exc_type == "KeyError"
+    assert err.failure.kind == "exception"
+    assert "KeyError" in message
     assert "_explode" in message
     assert "missing-seed" in message

@@ -1,14 +1,15 @@
-"""Unit tests for the parallel runner substrate (repro.runner)."""
+"""Unit tests for the parallel runner substrate (repro.runner): the
+ordered-map contract of supervised_map, the process-wide defaults, and
+derived seeds."""
 
 import pytest
 
 from repro.runner import (
-    ParallelRunner,
     derive_seed,
     get_jobs,
     in_worker,
-    parallel_map,
     set_jobs,
+    supervised_map,
 )
 from repro.runner import parallel as parallel_mod
 
@@ -18,45 +19,49 @@ def _square(x):
 
 
 def _nested(x):
-    # a worker that itself calls parallel_map must just loop serially
-    return sum(parallel_map(_square, [x, x + 1], jobs=4))
+    # a worker that itself calls supervised_map must just loop serially
+    return sum(supervised_map(_square, [x, x + 1], jobs=4))
 
 
 def test_serial_map_matches_builtin():
-    assert parallel_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
+    assert supervised_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
 
 
 def test_parallel_map_preserves_item_order():
     items = list(range(20))
-    assert parallel_map(_square, items, jobs=4) == [i * i for i in items]
+    assert supervised_map(_square, items, jobs=4) == [i * i for i in items]
 
 
 def test_costs_reorder_submission_not_results():
     items = [1, 2, 3, 4]
     costs = [0.1, 5.0, 0.2, 3.0]  # longest-first submission
-    assert parallel_map(_square, items, jobs=2, costs=costs) == [1, 4, 9, 16]
+    assert supervised_map(_square, items, jobs=2, costs=costs) == \
+        [1, 4, 9, 16]
 
 
 def test_costs_must_align():
     with pytest.raises(ValueError):
-        parallel_map(_square, [1, 2, 3], jobs=2, costs=[1.0])
+        supervised_map(_square, [1, 2, 3], jobs=2, costs=[1.0])
 
 
 def test_jobs_must_be_positive():
     with pytest.raises(ValueError):
-        parallel_map(_square, [1], jobs=0)
+        supervised_map(_square, [1], jobs=0)
     with pytest.raises(ValueError):
         set_jobs(0)
 
 
-def test_single_item_runs_inline():
-    assert parallel_map(_square, [7], jobs=8) == [49]
+def test_single_item_gets_a_worker():
+    # one task at jobs > 1 still runs on a worker, so a deadline can
+    # preempt it
+    assert supervised_map(_square, [7], jobs=8) == [49]
+    assert supervised_map(_report_worker, [0], jobs=8) == [True]
 
 
 def test_nested_parallel_map_runs_serially():
-    # each outer task calls parallel_map again; the inner call must not
-    # try to fork grandchildren from a daemonic worker
-    assert parallel_map(_nested, [1, 2, 3], jobs=2) == [5, 13, 25]
+    # each outer task calls supervised_map again; the inner call must
+    # not try to fork grandchildren from a daemonic worker
+    assert supervised_map(_nested, [1, 2, 3], jobs=2) == [5, 13, 25]
 
 
 def test_set_get_jobs_roundtrip():
@@ -64,8 +69,8 @@ def test_set_get_jobs_roundtrip():
     try:
         set_jobs(3)
         assert get_jobs() == 3
-        # parallel_map defaults to the process-wide setting
-        assert parallel_map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
+        # supervised_map defaults to the process-wide setting
+        assert supervised_map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
     finally:
         set_jobs(old)
 
@@ -75,22 +80,12 @@ def test_in_worker_false_in_parent():
 
 
 def test_worker_flag_visible_inside_workers():
-    results = parallel_map(_report_worker, [0, 1, 2], jobs=2)
+    results = supervised_map(_report_worker, [0, 1, 2], jobs=2)
     assert all(results)
 
 
 def _report_worker(_):
     return parallel_mod._IN_WORKER
-
-
-def test_runner_object():
-    runner = ParallelRunner(jobs=4)
-    assert runner.parallel
-    assert runner.map(_square, [2, 3]) == [4, 9]
-    assert not ParallelRunner(jobs=1).parallel
-    with pytest.raises(ValueError):
-        ParallelRunner(jobs=0)
-    assert "jobs=4" in repr(runner)
 
 
 def test_derive_seed_deterministic_and_distinct():

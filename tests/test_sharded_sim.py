@@ -7,11 +7,14 @@ count, expecting exact float equality.
 """
 
 import math
+import os
+import signal
 
 import pytest
 
 from repro.epc.agents import ControlAgent, ControlChannel
 from repro.net.shardlink import CrossShardChannel
+from repro.runner import TaskFailedError
 from repro.simcore.sharded import (
     ShardBoundary,
     ShardHost,
@@ -159,6 +162,65 @@ def test_fork_mode_matches_serial():
     forked = _merge(ShardedSimulator(_build_pingpong, specs,
                                      mode="fork").run(until=1.0))
     assert forked == serial
+
+
+def _build_failing(spec):
+    """Ping-pong, except that the builder raises for one shard."""
+    if spec["shard"] == spec["fail_shard"]:
+        raise KeyError(f"no site plan for shard {spec['shard']}")
+    return _build_pingpong(spec)
+
+
+def _build_dying(spec):
+    """Ping-pong whose shards log their worker pid; the last shard's
+    process SIGKILLs itself mid-run, at t = 0.5 s."""
+    host = _build_pingpong(spec)
+    with open(os.path.join(spec["pid_dir"], f"{spec['shard']}.pid"),
+              "w") as fh:
+        fh.write(str(os.getpid()))
+    if spec["shard"] == spec["n_shards"] - 1:
+        host.sim.at(0.5, os.kill, os.getpid(), signal.SIGKILL)
+    return host
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_fork_builder_error_names_shard_and_keeps_traceback():
+    specs = [{"shard": s, "n_shards": 3, "limit": 10, "fail_shard": 1}
+             for s in range(3)]
+    with pytest.raises(TaskFailedError) as excinfo:
+        ShardedSimulator(_build_failing, specs, mode="fork").run(until=1.0)
+    err = excinfo.value
+    message = str(err)
+    assert err.failure.kind == "exception"
+    assert err.failure.label == "shard 1 build"
+    # the worker-side traceback, not a bare error string
+    assert "_build_failing" in message
+    assert "KeyError" in message and "no site plan for shard 1" in message
+
+
+def test_fork_shard_killed_mid_run_is_a_crash_not_a_hang(tmp_path):
+    pid_dir = tmp_path / "pids"
+    pid_dir.mkdir()
+    specs = [{"shard": s, "n_shards": 2, "limit": 450,
+              "pid_dir": str(pid_dir)} for s in range(2)]
+    sharded = ShardedSimulator(_build_dying, specs, mode="fork")
+    with pytest.raises(TaskFailedError) as excinfo:
+        sharded.run(until=1.0)
+    failure = excinfo.value.failure
+    assert failure.kind == "crash"
+    assert failure.label == "shard 1 step"
+    assert "died" in failure.detail
+    pids = [int(path.read_text()) for path in pid_dir.iterdir()]
+    assert len(pids) == 2 and os.getpid() not in pids
+    # close() killed and reaped the surviving shard's worker too
+    assert not any(_alive(pid) for pid in pids)
 
 
 def test_zero_lookahead_refused():

@@ -16,6 +16,7 @@ from repro.runner import (
     SupervisorReport,
     SweepCheckpoint,
     TaskFailedError,
+    set_supervision,
     supervised_map,
 )
 from repro.runner.supervisor import TaskFailure
@@ -72,8 +73,6 @@ def test_validations():
         supervised_map(_square, [1, 2], jobs=2, labels=["a"])
     with pytest.raises(ValueError):
         supervised_map(_square, [1, 2], jobs=2, labels=["a", "a"])
-    with pytest.raises(ValueError):
-        supervised_map(_square, [1, 2], jobs=2, heartbeat_s=0.0)
 
 
 # -- crash detection + retry --------------------------------------------------------
@@ -117,6 +116,25 @@ def test_hung_task_killed_and_retried(tmp_path):
     assert report.retries == 1
     assert report.failures[0].kind == "hang"
     assert report.failures[0].elapsed_s >= 1.0
+
+
+def test_process_wide_deadline_and_retries_apply(tmp_path):
+    # the CLI's --task-timeout/--retries become every map's defaults,
+    # so sweep cells are preempted without passing them explicitly
+    items = [(5, "hang", str(tmp_path)), (6, "ok", str(tmp_path))]
+    report = SupervisorReport()
+    set_supervision(task_timeout_s=1.0, retries=1)
+    try:
+        results = supervised_map(_misbehave_once, items, jobs=2,
+                                 report=report)
+    finally:
+        set_supervision()
+    assert results == [25, 36]
+    assert (report.hangs, report.retries) == (1, 1)
+    with pytest.raises(ValueError):
+        set_supervision(task_timeout_s=0.0)
+    with pytest.raises(ValueError):
+        set_supervision(retries=-1)
 
 
 # -- worker exceptions (satellite: original traceback, annotated) -------------------
