@@ -253,6 +253,43 @@ def test_link_pump_rate(benchmark, mode):
         assert link.offered_bytes == 0 and link.delivered_bytes == 0
 
 
+def test_router_hop_rate(benchmark):
+    """10k packets through 3 routers on inf-rate links: one heap event
+    per router hop. Half-way the r0->r1 link is re-created under the
+    same name, as a handover re-creates ``client->apN``; its bound
+    ``net.link.delivered`` counter reads the sum over both links."""
+    import ipaddress
+
+    from repro.net import Host, Packet, Router
+
+    dst = ipaddress.IPv4Address("10.9.0.1")
+
+    def run():
+        sim = Simulator(0)
+        src, sink = Host(sim, "src"), Host(sim, "sink", dst)
+        routers = [Router(sim, f"r{i}") for i in range(3)]
+        nodes = [src, *routers, sink]
+        for here, there in zip(nodes, nodes[1:]):
+            here.attach_link(there, delay_s=1e-4)
+        for router, nxt in zip(routers, nodes[2:]):
+            router.add_route("10.9.0.0/16", nxt.name)
+        first = routers[0].links["r1"]
+        for i in range(10_000):
+            sim.schedule(i * 1e-5, src.send,
+                         Packet(src=None, dst=dst, size_bytes=100))
+        sim.schedule(0.05, routers[0].attach_link, routers[1], float("inf"),
+                     1e-4)
+        sim.run()
+        return sim, first, routers[0].links["r1"], sink
+
+    sim, first, second, sink = benchmark(run)
+    assert sink.received == 10_000
+    assert first is not second and first.name == second.name
+    assert 0 < first.delivered < 10_000
+    assert sim.metrics.value("net.link.delivered", link="r0->r1") == \
+        float(first.delivered + second.delivered) == 10_000.0
+
+
 def test_metrics_hot_path_rate(benchmark):
     """The per-event telemetry cost: cached counter inc + histogram
     observe, the pattern every instrumented component uses."""

@@ -70,6 +70,7 @@ from repro.runner import (
     set_jobs,
     set_supervision,
     supervised_map,
+    take_session_report,
 )
 from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB
@@ -306,15 +307,24 @@ def _run_all_parallel(ids: List[str], jobs: int,
     outputs.update(zip(rest, texts))
     for exp_id in ids:
         sys.stdout.write(outputs[exp_id])
-    # diagnostics go to stderr so stdout stays byte-identical to a
-    # clean serial run regardless of crashes, retries, or resume
+    _print_supervisor_summary()
+    if report.replayed_from_checkpoint:
+        print(f"[resume: {report.replayed_from_checkpoint} experiment(s) "
+              f"replayed from {checkpoint.path}]", file=sys.stderr)
+
+
+def _print_supervisor_summary() -> None:
+    """Sum every supervised map of the run (whole experiments and the
+    sweep cells inside them) into one stderr line, if any task failed.
+
+    Diagnostics go to stderr so stdout stays byte-identical to a clean
+    serial run regardless of crashes, retries, or resume.
+    """
+    report = take_session_report()
     if report.failures:
         print(f"[supervisor: {report.crashes} crash(es), "
               f"{report.hangs} hang(s), {report.exceptions} exception(s); "
               f"{report.retries} task retry(ies)]", file=sys.stderr)
-    if report.replayed_from_checkpoint:
-        print(f"[resume: {report.replayed_from_checkpoint} experiment(s) "
-              f"replayed from {checkpoint.path}]", file=sys.stderr)
 
 
 def main(argv: List[str] = None) -> int:
@@ -424,6 +434,7 @@ def main(argv: List[str] = None) -> int:
         os.environ["REPRO_BATCH_TTI"] = "0"
     set_jobs(args.jobs)
     set_supervision(args.task_timeout, args.retries)
+    take_session_report()  # forget maps run before this invocation
 
     if args.list:
         for exp_id, module in ALL_EXPERIMENTS.items():
@@ -466,6 +477,7 @@ def main(argv: List[str] = None) -> int:
                        trace_out=args.trace_out, profile=args.profile,
                        multi=len(ids) > 1, exp_args=exp_args or None,
                        profile_out=args.profile_out)
+    _print_supervisor_summary()
     return 0
 
 

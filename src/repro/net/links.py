@@ -24,6 +24,29 @@ identical to the times the old per-event chain produced, and queued
 packets are promoted into service *lazily* whenever the link is
 touched. Net effect: one heap event per busy period segment instead of
 two per packet, with byte-identical delivery times.
+
+One event per router hop: a router used to cost a second event per
+packet (the link hands the packet over at its arrival ``T``, the router
+posts its forwarding at ``T + f``). A link whose receiver is a plain
+:class:`~repro.net.nodes.Router` is connected with that router's
+forwarding delay ``f`` and fires its wake-up at ``(done + delay) + f``
+instead, the same float the router used to post, so the route lookup
+and the onward send still happen at ``T + f``. The flight deque keeps
+the physical arrival ``T``: whether the link was down is judged at
+``T``, not at the hand-over, so a cut inside ``(T, T + f)`` still
+forwards the packet and an outage covering ``T`` still loses it. The
+fold cannot reproduce one order: a folded hand-over that lands on the
+same float instant as an event of an unrelated causal chain may run
+before it, where the posted forwarding ran after (PERFORMANCE.md).
+
+Counts stay those of the physical arrival: ``delivered``, ``dropped``,
+``dropped_down`` and ``in_flight`` include the packets that have arrived
+but still wait out the forwarding delay, so a read inside ``(T, T + f)``
+(a run horizon, an invariant audit) sees what it saw before the fold.
+Nothing telemetry-side is incremented per packet: the
+``net.link.delivered``, ``net.link.bytes_sent`` and ``net.link.dropped``
+counters are bound to these ints and read them, summed over every link
+that shares the name.
 """
 
 from __future__ import annotations
@@ -78,10 +101,14 @@ class Link:
         self.queue_packets = queue_packets
         self.name = name
         self.receiver: Optional[Callable[[Packet], None]] = None
+        #: the receiver's forwarding delay folded into delivery: the
+        #: receiver is called at arrival + this (see the module docstring)
+        self.forwarding_delay_s = 0.0
         #: packets waiting for the serializer (the drop-tail queue)
         self._egress: Deque[Packet] = deque()
-        #: serialized packets in propagation: (deliver_at, packet),
-        #: deliver_at monotone because delay is a per-link constant
+        #: serialized packets in propagation: (arrival, packet), arrival
+        #: monotone because delay is a per-link constant; the hand-over
+        #: is at arrival + forwarding_delay_s
         self._flight: Deque[Tuple[float, Packet]] = deque()
         #: when the packet currently in service finishes serializing;
         #: the link is busy iff this is in the future
@@ -93,16 +120,22 @@ class Link:
         # fault state
         self.up = True
         self.loss_rate = 0.0
+        #: start of the current outage (inf while up), and the closed
+        #: outages a folded in-flight arrival may still fall inside
+        self._down_since = _INF
+        self._outages: Deque[Tuple[float, float]] = deque()
         # counters; ``dropped`` is the running total across all causes.
         # ``offered`` and ``in_flight`` close the conservation law the
         # invariant checker audits: at any instant
-        # ``offered == delivered + dropped + in_flight``.
+        # ``offered == delivered + dropped + in_flight``. The four
+        # underscored tallies move at the hand-over; the public
+        # properties count a packet at its physical arrival
         self.offered = 0
-        self.in_flight = 0
-        self.delivered = 0
-        self.dropped = 0
+        self._in_flight = 0
+        self._delivered = 0
+        self._dropped = 0
         self.dropped_overflow = 0
-        self.dropped_down = 0
+        self._dropped_down = 0
         self.dropped_loss = 0
         self.bytes_sent = 0
         # managed-mode state (AQM / queue_bytes / byte ledger); all of
@@ -122,24 +155,28 @@ class Link:
         #: the link's own loss stream, fetched once instead of a
         #: per-send f-string + registry lookup
         self._loss_rng = sim.rng(f"link-loss:{name}")
-        # telemetry instruments, fetched once so the hot path is an
-        # attribute access plus an integer add
+        # telemetry: the delivered, byte and drop counters read this
+        # link's own ints; the queue gauge is fetched once
         metrics = sim.metrics
-        self._m_delivered = metrics.counter("net.link.delivered", link=name)
-        self._m_bytes = metrics.counter("net.link.bytes_sent", link=name)
+        metrics.bound_counter("net.link.delivered", self, "delivered",
+                              link=name)
+        metrics.bound_counter("net.link.bytes_sent", self, "bytes_sent",
+                              link=name)
+        for cause in ("overflow", "down", "loss"):
+            metrics.bound_counter("net.link.dropped", self,
+                                  f"dropped_{cause}", link=name, cause=cause)
         self._m_queue = metrics.gauge("net.link.queue_depth", link=name)
-        self._m_drops = {
-            cause: metrics.counter("net.link.dropped", link=name, cause=cause)
-            for cause in ("overflow", "down", "loss")
-        }
         if queue_bytes is not None:
             if queue_bytes < 1:
                 raise ValueError("queue_bytes must hold at least one byte")
             self._enable_managed()
 
-    def connect(self, receiver: Callable[[Packet], None]) -> None:
-        """Attach the downstream receive function."""
+    def connect(self, receiver: Callable[[Packet], None],
+                forwarding_delay_s: float = 0.0) -> None:
+        """Attach the downstream receive function, called at each
+        packet's arrival plus ``forwarding_delay_s``."""
         self.receiver = receiver
+        self.forwarding_delay_s = forwarding_delay_s
 
     # -- managed mode (AQM / ECN / byte accounting) ------------------------
 
@@ -161,8 +198,8 @@ class Link:
         self._managed = True
         self._egress_times = deque()
         metrics = self.sim.metrics
-        self._m_drops["aqm"] = metrics.counter(
-            "net.link.dropped", link=self.name, cause="aqm")
+        metrics.bound_counter("net.link.dropped", self, "dropped_aqm",
+                              link=self.name, cause="aqm")
         self._m_marks = metrics.counter("net.link.ecn_marked", link=self.name)
 
     def _mark(self, packet: Packet) -> bool:
@@ -194,6 +231,54 @@ class Link:
         """
         return len(self._egress)
 
+    # -- counts as of the physical arrivals ----------------------------------
+
+    def _window(self) -> Tuple[int, int]:
+        """(delivered, lost) among the packets that have physically
+        arrived but still wait out a folded forwarding delay."""
+        delivered = lost = 0
+        if self.forwarding_delay_s:
+            now = self.sim.now
+            for arrived, _packet in self._flight:
+                if arrived > now:
+                    break
+                if arrived >= self._down_since or any(
+                        start <= arrived < end
+                        for start, end in self._outages):
+                    lost += 1
+                else:
+                    delivered += 1
+        return delivered, lost
+
+    @property
+    def delivered(self) -> int:
+        """Packets delivered, counted at their physical arrival."""
+        return self._delivered + self._window()[0]
+
+    @delivered.setter
+    def delivered(self, value: int) -> None:
+        self._delivered = value - self._window()[0]
+
+    @property
+    def dropped(self) -> int:
+        """Packets dropped, all causes; a loss to an outage counts at
+        the arrival it fell on."""
+        return self._dropped + self._window()[1]
+
+    @dropped.setter
+    def dropped(self, value: int) -> None:
+        self._dropped = value - self._window()[1]
+
+    @property
+    def dropped_down(self) -> int:
+        """Packets lost to the link being down."""
+        return self._dropped_down + self._window()[1]
+
+    @property
+    def in_flight(self) -> int:
+        """Packets offered and not yet delivered or dropped."""
+        return self._in_flight - sum(self._window())
+
     # -- fault state -------------------------------------------------------
 
     def set_up(self, up: bool) -> None:
@@ -201,12 +286,18 @@ class Link:
         if up == self.up:
             return
         self.up = up
+        now = self.sim.now
         self.sim.trace("fault", f"link {self.name} {'up' if up else 'down'}")
-        if not up:
+        if up:
+            if self.forwarding_delay_s and self._flight:
+                self._outages.append((self._down_since, now))
+            self._down_since = _INF
+        else:
+            self._down_since = now
             # promote first: a serialization that already started stays
-            # in flight and is dropped at its delivery time, exactly as
-            # the old per-event chain behaved
-            self._advance(self.sim.now)
+            # in flight and is dropped at its arrival, exactly as the old
+            # per-event chain behaved
+            self._advance(now)
             if self._egress:
                 lost = len(self._egress)
                 if self._managed:
@@ -215,10 +306,9 @@ class Link:
                     self._egress_bytes = 0
                     self._egress_times.clear()
                 self._egress.clear()
-                self.dropped += lost
-                self.dropped_down += lost
-                self.in_flight -= lost
-                self._m_drops["down"].inc(lost)
+                self._dropped += lost
+                self._dropped_down += lost
+                self._in_flight -= lost
                 self._m_queue.set(0)
 
     def set_loss_rate(self, loss_rate: float) -> None:
@@ -230,16 +320,15 @@ class Link:
         self.loss_rate = loss_rate
 
     def _drop(self, cause: str) -> bool:
-        self.dropped += 1
+        self._dropped += 1
         if cause == "overflow":
             self.dropped_overflow += 1
         elif cause == "down":
-            self.dropped_down += 1
+            self._dropped_down += 1
         elif cause == "aqm":
             self.dropped_aqm += 1
         else:
             self.dropped_loss += 1
-        self._m_drops[cause].inc()
         self.sim.trace("drop", f"link {self.name}: {cause}")
         return False
 
@@ -264,14 +353,14 @@ class Link:
             if len(egress) >= self.queue_packets:
                 return self._drop("overflow")
             egress.append(packet)
-            self.in_flight += 1
+            self._in_flight += 1
             qlen = len(egress)
             self._m_queue.set(qlen)
             sim = self.sim
             if qlen > sim.link_peak_queue:
                 sim.link_peak_queue = qlen
             return True
-        self.in_flight += 1
+        self._in_flight += 1
         self._start_service(now, packet)
         return True
 
@@ -307,7 +396,7 @@ class Link:
             egress.append(packet)
             self._egress_times.append(now)
             self._egress_bytes += size
-            self.in_flight += 1
+            self._in_flight += 1
             self.in_flight_bytes += size
             qlen = len(egress)
             self._m_queue.set(qlen)
@@ -325,7 +414,7 @@ class Link:
             if verdict != PASS and (verdict == DROP or not self._mark(packet)):
                 self.dropped_bytes += size
                 return self._drop("aqm")
-        self.in_flight += 1
+        self._in_flight += 1
         self.in_flight_bytes += size
         self._start_service(now, packet)
         return True
@@ -342,12 +431,12 @@ class Link:
         done = start + (size * 8.0 / rate if rate != _INF else 0.0)
         self._service_done = done
         self.bytes_sent += size
-        self._m_bytes.inc(size)
         flight = self._flight
         flight.append((done + self.delay_s, packet))
         if not self._wakeup:
             self._wakeup = True
-            self.sim.post_at(flight[0][0], self._drain)
+            self.sim.post_at(flight[0][0] + self.forwarding_delay_s,
+                             self._drain)
 
     def _advance(self, now: float) -> None:
         """Promote queued packets whose service has started by ``now``."""
@@ -382,7 +471,7 @@ class Link:
                 verdict = aqm.on_dequeue(start - enq_at, start)
                 if verdict != PASS and (verdict == DROP
                                         or not self._mark(packet)):
-                    self.in_flight -= 1
+                    self._in_flight -= 1
                     self.in_flight_bytes -= size
                     self.dropped_bytes += size
                     self._drop("aqm")
@@ -398,10 +487,12 @@ class Link:
         flight = self._flight
         receiver = self.receiver
         managed = self._managed
-        while flight and flight[0][0] <= now:
-            _at, packet = flight.popleft()
-            self.in_flight -= 1
-            if not self.up:
+        fold = self.forwarding_delay_s
+        while flight and flight[0][0] + fold <= now:
+            arrived, packet = flight.popleft()
+            self._in_flight -= 1
+            if arrived >= self._down_since or (
+                    self._outages and self._lost(arrived)):
                 if managed:
                     size = packet.size_bytes
                     self.in_flight_bytes -= size
@@ -412,13 +503,24 @@ class Link:
                 size = packet.size_bytes
                 self.in_flight_bytes -= size
                 self.delivered_bytes += size
-            self.delivered += 1
-            self._m_delivered.inc()
+            self._delivered += 1
             receiver(packet)
-        self._advance(now)
+        if self._egress:
+            self._advance(now)
         if flight and not self._wakeup:
             self._wakeup = True
-            self.sim.post_at(flight[0][0], self._drain)
+            self.sim.post_at(flight[0][0] + fold, self._drain)
+
+    def _lost(self, arrived: float) -> bool:
+        """Whether a folded arrival fell inside a closed outage.
+
+        Arrivals come in order and outages are disjoint and ordered, so
+        an outage that ended by ``arrived`` can be forgotten.
+        """
+        outages = self._outages
+        while outages and outages[0][1] <= arrived:
+            outages.popleft()
+        return bool(outages) and outages[0][0] <= arrived
 
     def __repr__(self) -> str:
         rate = ("inf" if self.rate_bps == float("inf")

@@ -27,9 +27,14 @@ class NetworkNode:
         """Create (or replace) the unidirectional link to ``neighbor``."""
         link = Link(self.sim, rate_bps, delay_s, queue_packets,
                     name=f"{self.name}->{neighbor.name}")
-        link.connect(neighbor.receive)
+        link.connect(*neighbor.link_entry())
         self.links[neighbor.name] = link
         return link
+
+    def link_entry(self) -> Tuple[Callable[[Packet], None], float]:
+        """What an inbound link calls per packet, and the delay after
+        the packet's arrival at which it calls it."""
+        return self.receive, 0.0
 
     def connect_bidirectional(self, other: "NetworkNode",
                               rate_bps: float = float("inf"),
@@ -102,54 +107,89 @@ class Host(NetworkNode):
         return self.send_via(gateway, packet)
 
 
+#: FIB miss marker (``None`` is a cached "no prefix matched")
+_MISS = object()
+
+
 class Router(NetworkNode):
-    """Longest-prefix-match forwarding over static routes."""
+    """Longest-prefix-match forwarding over static routes.
+
+    A packet is forwarded ``forwarding_delay_s`` after it arrives. Links
+    built by :meth:`NetworkNode.attach_link` fold that delay into their
+    delivery and hand the packet to :meth:`_arrive` once, at arrival +
+    delay; a direct :meth:`receive` posts the forwarding as its own event.
+    Lookups go through a FIB keyed by the destination's integer, filled
+    on first use and cleared by every route change.
+    """
 
     def __init__(self, sim: Simulator, name: str,
                  forwarding_delay_s: float = 20e-6) -> None:
         super().__init__(sim, name)
         self.forwarding_delay_s = forwarding_delay_s
         self._routes: List[Tuple[ipaddress.IPv4Network, str]] = []
+        #: destination integer -> matched neighbour, or None when no
+        #: prefix matched (the default route is read at lookup time)
+        self._fib: Dict[int, Optional[str]] = {}
         self.default_route: Optional[str] = None
         self.forwarded = 0
         self.no_route = 0
-        # local delivery hooks, e.g. a co-located control-plane agent
-        self.local_handler: Optional[Callable[[Packet], None]] = None
-        self.local_addresses: List[IPv4Address] = []
+
+    def link_entry(self) -> Tuple[Callable[[Packet], None], float]:
+        cls = type(self)
+        if cls.handle is Router.handle and cls.receive is NetworkNode.receive:
+            return self._arrive, self.forwarding_delay_s
+        return self.receive, 0.0  # subclass processing must run at arrival
 
     def add_route(self, prefix: PrefixLike, neighbor_name: str) -> None:
         """Install a static route; most-specific prefix wins on lookup."""
         net = ipaddress.IPv4Network(prefix)
         self._routes.append((net, neighbor_name))
         self._routes.sort(key=lambda r: r[0].prefixlen, reverse=True)
+        self._fib.clear()
 
     def remove_routes_to(self, neighbor_name: str) -> int:
         """Withdraw every route via a neighbour; returns count removed."""
         before = len(self._routes)
         self._routes = [r for r in self._routes if r[1] != neighbor_name]
+        self._fib.clear()
         return before - len(self._routes)
 
     def lookup(self, dst: IPv4Address) -> Optional[str]:
         """Next-hop neighbour for ``dst`` (longest match, then default)."""
-        for net, neighbor in self._routes:
-            if dst in net:
-                return neighbor
-        return self.default_route
+        fib = self._fib
+        neighbor = fib.get(dst._ip, _MISS)
+        if neighbor is _MISS:
+            neighbor = None
+            for net, via in self._routes:
+                if dst in net:
+                    neighbor = via
+                    break
+            fib[dst._ip] = neighbor
+        return neighbor if neighbor is not None else self.default_route
 
     def handle(self, packet: Packet) -> None:
-        if packet.dst in self.local_addresses and self.local_handler:
-            self.local_handler(packet)
-            return
         sim = self.sim
         sim.post_at(sim.now + self.forwarding_delay_s, self._forward, packet)
 
+    def _arrive(self, packet: Packet) -> None:
+        """Link-fed entry, called at arrival + forwarding delay: count,
+        record the hop and forward in one step."""
+        self.received += 1
+        hops = packet.hops
+        if hops is None:
+            packet.hops = [self.name]
+        else:
+            hops.append(self.name)
+        self._forward(packet)
+
     def _forward(self, packet: Packet) -> None:
-        if packet.dst is None:
+        dst = packet.dst
+        if dst is None:
             self.no_route += 1
             return
-        neighbor = self.lookup(packet.dst)
-        if neighbor is None or neighbor not in self.links:
+        link = self.links.get(self.lookup(dst))
+        if link is None:
             self.no_route += 1
             return
         self.forwarded += 1
-        self.links[neighbor].send(packet)
+        link.send(packet)

@@ -225,13 +225,11 @@ class CrossShardLink(Link):
         done = start + (size * 8.0 / rate if rate != _INF else 0.0)
         self._service_done = done
         self.bytes_sent += size
-        self._m_bytes.inc(size)
         # The packet leaves this shard's books at the end of
         # serialization: delivered-at-the-boundary, not at the receiver.
-        self.in_flight -= 1
-        self.delivered += 1
+        self._in_flight -= 1
+        self._delivered += 1
         self.crossed += 1
-        self._m_delivered.inc()
         self.boundary.buffer(self.exit_key, self.dst_shard,
                              done + self.delay_s, start, packet)
         if rate != _INF:

@@ -39,6 +39,7 @@ from repro.runner.supervisor import (
     TaskFailure,
     set_supervision,
     supervised_map,
+    take_session_report,
 )
 
 __all__ = [
@@ -52,4 +53,5 @@ __all__ = [
     "set_jobs",
     "set_supervision",
     "supervised_map",
+    "take_session_report",
 ]

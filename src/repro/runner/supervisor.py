@@ -64,7 +64,7 @@ from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB, ambient_registry
 
 __all__ = ["SupervisorReport", "TaskFailedError", "TaskFailure",
-           "set_supervision", "supervised_map"]
+           "set_supervision", "supervised_map", "take_session_report"]
 
 #: Live supervisor worker processes, reaped at interpreter exit.
 _LIVE_WORKERS: set = set()
@@ -186,11 +186,34 @@ class SupervisorReport:
         registry.counter("runner.supervisor.failures",
                          kind=failure.kind).inc()
 
+    def merge(self, other: "SupervisorReport") -> None:
+        """Add another report's failures and counts to this one."""
+        self.failures.extend(other.failures)
+        self.retries += other.retries
+        self.crashes += other.crashes
+        self.hangs += other.hangs
+        self.exceptions += other.exceptions
+        self.completed += other.completed
+        self.replayed_from_checkpoint += other.replayed_from_checkpoint
+
     def __str__(self) -> str:
         return (f"<SupervisorReport completed={self.completed} "
                 f"retries={self.retries} crashes={self.crashes} "
                 f"hangs={self.hangs} exceptions={self.exceptions} "
                 f"replayed={self.replayed_from_checkpoint}>")
+
+
+#: every map's report in this process since the last
+#: :func:`take_session_report`, so a sweep deep inside an experiment
+#: still reaches the CLI's end-of-run summary
+_SESSION_REPORT = SupervisorReport()
+
+
+def take_session_report() -> SupervisorReport:
+    """Return what every map since the last call did, and start afresh."""
+    global _SESSION_REPORT
+    report, _SESSION_REPORT = _SESSION_REPORT, SupervisorReport()
+    return report
 
 
 # -- chaos hooks (worker side) -------------------------------------------------
@@ -480,8 +503,9 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
             completed tasks are journaled as they finish (results must
             be JSON-serializable). Incompatible with an active telemetry
             run (replayed tasks would contribute no telemetry).
-        report: a :class:`SupervisorReport` to fill in (one is created
-            internally otherwise).
+        report: a :class:`SupervisorReport` to add this map's failures
+            and counts to. Every map's are also added to the process
+            session report (:func:`take_session_report`).
 
     Raises:
         TaskFailedError: a task failed ``retries + 1`` times; all
@@ -499,6 +523,18 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
     map records runner-lifecycle timings (fork, queue wait, exec,
     pickle, ship, merge) into ``HUB.lifecycle``.
     """
+    own = SupervisorReport()
+    try:
+        return _supervised_map(fn, items, jobs, costs, labels,
+                               task_timeout_s, retries, checkpoint, own)
+    finally:
+        if report is not None:
+            report.merge(own)
+        _SESSION_REPORT.merge(own)
+
+
+def _supervised_map(fn, items, jobs, costs, labels, task_timeout_s,
+                    retries, checkpoint, report) -> List[Any]:
     items = list(items)
     n = jobs if jobs is not None else get_jobs()
     if n < 1:
@@ -519,8 +555,6 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
         raise ValueError("labels must be unique")
     if costs is not None and len(costs) != len(items):
         raise ValueError("costs must align with items")
-    if report is None:
-        report = SupervisorReport()
     collecting = HUB.active
     if checkpoint is not None and collecting:
         raise ValueError("checkpoint/resume cannot run under an active "

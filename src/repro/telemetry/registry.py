@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
+__all__ = ["BoundCounter", "Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS", "SAMPLE_CAP", "SKETCH_ALPHA"]
 
 #: Default histogram bucket upper bounds: half-decade geometric ladder
@@ -104,6 +104,43 @@ class Counter(_Instrument):
         """Snapshot row for exporters."""
         return {"kind": self.kind, "name": self.name, "labels": self.labels,
                 "value": self.value}
+
+
+class BoundCounter(Counter):
+    """A counter read from integer attributes its sources already keep.
+
+    A hot component that counts an event exactly anyway (a link's
+    ``delivered``) binds that attribute here instead of paying a second
+    per-event :meth:`Counter.inc`. The value is the float of the sum over
+    every bound source, which equals what the per-event increments would
+    have accumulated (integer-valued floats add exactly below 2**53).
+    Pickling ships a plain :class:`Counter` frozen at the current value,
+    so a worker's registry travels without its sources.
+    """
+
+    __slots__ = ("_sources",)
+
+    def __init__(self, name: str, labels: Dict[str, str]) -> None:
+        _Instrument.__init__(self, name, labels)
+        self._sources: List[Tuple[Any, str]] = []
+
+    @property
+    def value(self) -> float:
+        return float(sum(getattr(source, attr)
+                         for source, attr in self._sources))
+
+    def inc(self, amount: float = 1.0) -> None:
+        raise TypeError(f"counter {self.name} is read from its sources")
+
+    def __reduce__(self):
+        return _frozen_counter, (self.name, self.labels, self.value)
+
+
+def _frozen_counter(name: str, labels: Dict[str, str],
+                    value: float) -> Counter:
+    counter = Counter(name, labels)
+    counter.value = value
+    return counter
 
 
 class Gauge(_Instrument):
@@ -323,6 +360,14 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get or create a counter."""
         return self._get(Counter, name, labels)
+
+    def bound_counter(self, name: str, source: Any, attr: str,
+                      **labels: Any) -> BoundCounter:
+        """Get or create a counter that reads ``source.attr``; every
+        source bound under the same (name, labels) adds to its value."""
+        counter = self._get(BoundCounter, name, labels)
+        counter._sources.append((source, attr))
+        return counter
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Get or create a gauge."""

@@ -209,6 +209,23 @@ def test_hung_sweep_cell_is_killed_and_retried(tmp_path, capsys,
     assert elapsed < 30  # the deadline, not the hang, ended the attempt
 
 
+def test_crashed_sweep_cell_reaches_the_supervisor_summary(tmp_path, capsys,
+                                                         monkeypatch):
+    # a sweep fills its own report deep inside the experiment; the CLI
+    # still sums it into the stderr summary, and stdout is untouched
+    e7 = ["E7", "--exp-arg", "ap_counts=[1, 2]", "--exp-arg", "ue_per_ap=2"]
+    assert main(e7) == 0
+    clean = capsys.readouterr()
+    assert "[supervisor:" not in clean.err
+    monkeypatch.setenv("REPRO_CHAOS_PLAN", "E7:dLTE:2:crash")
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+    assert main(e7 + ["--jobs", "2", "--retries", "1"]) == 0
+    chaos = capsys.readouterr()
+    assert _strip_wall_times(chaos.out) == _strip_wall_times(clean.out)
+    assert ("[supervisor: 1 crash(es), 0 hang(s), 0 exception(s); "
+            "1 task retry(ies)]") in chaos.err
+
+
 def test_resume_replays_byte_identical(tmp_path, capsys):
     run_dir = str(tmp_path / "ckpt")
     assert main(["E12", "E13"]) == 0

@@ -75,6 +75,59 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.gauge("name")
 
+    def test_bound_counter_reads_and_sums_its_sources(self):
+        class Source:
+            delivered = 0
+
+        registry = MetricsRegistry()
+        a, b = Source(), Source()
+        counter = registry.bound_counter("net.link.delivered", a,
+                                         "delivered", link="l")
+        assert registry.bound_counter("net.link.delivered", b, "delivered",
+                                      link="l") is counter
+        assert registry.counter("net.link.delivered", link="l") is counter
+        a.delivered, b.delivered = 3, 4
+        assert registry.value("net.link.delivered", link="l") == 7.0
+        assert registry.total("net.link.delivered") == 7.0
+        assert registry.snapshot()[0]["value"] == 7.0
+        with pytest.raises(TypeError):
+            counter.inc()
+        registry.counter("plain")
+        with pytest.raises(TypeError):  # a plain counter cannot be bound
+            registry.bound_counter("plain", a, "delivered")
+
+    def test_bound_counter_pickles_as_a_frozen_counter(self):
+        import pickle
+
+        class Source:
+            bytes_sent = 1500
+
+        registry = MetricsRegistry()
+        registry.bound_counter("net.link.bytes_sent", Source(), "bytes_sent")
+        shipped = pickle.loads(pickle.dumps(registry))
+        counter = shipped.counter("net.link.bytes_sent")
+        assert type(counter) is Counter and counter.value == 1500.0
+
+    def test_link_counters_match_per_packet_increments(self):
+        from repro.net.links import Link
+        from repro.net.packet import Packet
+
+        sim = Simulator(seed=1)
+        links = [Link(sim, 1e6, 0.001, queue_packets=2, name="l")
+                 for _ in range(2)]
+        for link in links:
+            link.connect(lambda p: None)
+            for size in (100, 1500, 700, 40):
+                link.send(Packet(src=None, dst=None, size_bytes=size))
+        sim.run()
+        metrics = sim.metrics
+        assert metrics.value("net.link.delivered", link="l") == \
+            float(sum(link.delivered for link in links)) == 6.0
+        assert metrics.value("net.link.bytes_sent", link="l") == \
+            float(sum(link.bytes_sent for link in links))
+        assert metrics.value("net.link.dropped", link="l",
+                             cause="overflow") == 2.0
+
     def test_gauge_tracks_extremes(self):
         gauge = MetricsRegistry().gauge("q")
         for v in (3, 1, 7, 2):

@@ -56,7 +56,7 @@ class Net:
             seen.append(packet.ecn)
             downstream(packet)
 
-        self.bottleneck.connect(tee)
+        self.bottleneck.connect(tee, self.bottleneck.forwarding_delay_s)
         return seen
 
 
